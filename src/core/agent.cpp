@@ -10,13 +10,12 @@
 namespace cocoa::core {
 
 CocoaAgent::CocoaAgent(net::Node& node, const AgentConfig& config,
-                       std::shared_ptr<const phy::PdfTable> table,
+                       std::shared_ptr<const KernelBank> kernels,
                        multicast::MulticastNode* mcast, bool is_sync_robot)
     : node_(node),
       config_(config),
       mcast_(mcast),
       is_sync_robot_(is_sync_robot),
-      table_(std::move(table)),
       odometry_(config.odometry, node.simulator().rng().stream("odometry", node.id())),
       noise_rng_(node.simulator().rng().stream("agent.noise", node.id())) {
     if (config_.beacons_per_window < 1) {
@@ -28,33 +27,19 @@ CocoaAgent::CocoaAgent(net::Node& node, const AgentConfig& config,
     if (config_.sync == SyncMode::Mrmm && mcast_ == nullptr) {
         throw std::invalid_argument("CocoaAgent: Mrmm sync requires a multicast node");
     }
-    if (config_.estimator != est::Backend::Grid &&
+    if (config_.estimation.backend != est::Backend::Grid &&
         config_.mode != LocalizationMode::Combined) {
         throw std::invalid_argument(
             "CocoaAgent: non-grid estimator backends require Combined mode");
     }
 
-    est::Config ec;
+    est::Config ec = config_.estimation;
     // LocalizationMode::Ekf predates the interface; it maps to the EKF
     // backend in its bit-exact legacy-continuous flavour.
-    ec.backend = config_.mode == LocalizationMode::Ekf ? est::Backend::Ekf
-                                                       : config_.estimator;
+    if (config_.mode == LocalizationMode::Ekf) ec.backend = est::Backend::Ekf;
     ec.legacy_continuous = config_.mode == LocalizationMode::Ekf;
     ec.hold_fixes = config_.mode == LocalizationMode::RfOnly;
-    ec.grid = config_.grid;
-    ec.technique = config_.technique;
-    ec.min_beacons_for_fix = config_.min_beacons_for_fix;
-    ec.beacon_rssi_cutoff_dbm = config_.beacon_rssi_cutoff_dbm;
-    ec.use_non_gaussian_bins = config_.use_non_gaussian_bins;
-    ec.ekf_q_displacement_frac = config_.ekf_q_displacement_frac;
-    ec.ekf_q_floor_var_per_s = config_.ekf_q_floor_var_per_s;
-    ec.ekf_gate_sigmas = config_.ekf_gate_sigmas;
-    ec.ekf_use_non_gaussian_bins = config_.ekf_use_non_gaussian_bins;
-    ec.ekf_min_range_sigma_m = config_.ekf_min_range_sigma_m;
-    ec.ekf_reject_inflation_var = config_.ekf_reject_inflation_var;
-    ec.ekf_missed_window_var = config_.ekf_missed_window_var;
-    ec.lincvx_min_beacons = config_.lincvx_min_beacons;
-    estimator_ = est::make_estimator(ec, table_, &odometry_);
+    estimator_ = est::make_estimator(ec, std::move(kernels), &odometry_);
 
     node_.host().register_handler(
         net::Port::Beacon,
@@ -93,12 +78,12 @@ void CocoaAgent::start() {
     if (config_.initial_pose_known) {
         odometry_.reset(true_position(), node_.mobility().heading());
     } else {
-        odometry_.reset(config_.grid.area.center(), node_.mobility().heading());
+        odometry_.reset(config_.estimation.grid.area.center(), node_.mobility().heading());
     }
     last_odometry_position_ = odometry_.position();
     last_predict_time_ = node_.simulator().now();
     estimator_->reset(config_.initial_pose_known ? true_position()
-                                                 : config_.grid.area.center(),
+                                                 : config_.estimation.grid.area.center(),
                       config_.initial_pose_known);
 
     if (config_.mode == LocalizationMode::OdometryOnly) {
@@ -151,11 +136,11 @@ void CocoaAgent::reboot() {
     // collected windows drop, and the clock restarts with fresh skew. The
     // odometry's velocity *bias* survives — it is miscalibration of the
     // hardware, not state.
-    odometry_.reset(config_.grid.area.center(), node_.mobility().heading());
+    odometry_.reset(config_.estimation.grid.area.center(), node_.mobility().heading());
     last_odometry_position_ = odometry_.position();
     last_predict_time_ = node_.simulator().now();
     window_beacons_.clear();
-    estimator_->reset(config_.grid.area.center(), /*position_known=*/false);
+    estimator_->reset(config_.estimation.grid.area.center(), /*position_known=*/false);
     if (config_.sync == SyncMode::Mrmm && !is_sync_robot_) {
         clock_offset_s_ = noise_rng_.gaussian(0.0, config_.clock_skew_sigma_s);
     } else {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -43,50 +42,15 @@ struct AgentConfig {
     sim::Duration period = sim::Duration::seconds(100.0);  ///< T
     sim::Duration window = sim::Duration::seconds(3.0);    ///< t
     int beacons_per_window = 3;                            ///< k
-    int min_beacons_for_fix = 3;
 
-    GridConfig grid;
     mobility::OdometryConfig odometry;
-    /// Which RF technique turns window beacons into a fix (§5 pluggability).
-    RfTechnique technique = RfTechnique::BayesianGrid;
-    /// Which belief backend a Combined-mode blind robot runs behind the
-    /// est::Estimator interface (grid = the paper's Bayesian grid; see
-    /// docs/estimators.md for the EKF-CL and LinCvx alternatives). Modes
-    /// other than Combined pin their own backend: RfOnly/OdometryOnly use the
-    /// grid path, LocalizationMode::Ekf the legacy continuous EKF.
-    est::Backend estimator = est::Backend::Grid;
-    /// EKF mode process noise: fractional error on each dead-reckoned
-    /// displacement, plus a floor variance accrued per second. The floor is
-    /// deliberately generous: odometry drift is bias-driven (grows faster
-    /// than a random walk), and an overconfident filter under-weights its
-    /// corrections.
-    double ekf_q_displacement_frac = 0.1;
-    double ekf_q_floor_var_per_s = 0.6;  ///< m^2 / s
-    /// EKF innovation gate (standard deviations); bad beacons beyond it are
-    /// ignored.
-    double ekf_gate_sigmas = 4.0;
-    /// Far-field (non-Gaussian-bin) beacons carry real information even for
-    /// the EKF: with the sigma floor, the innovation gate and rejection
-    /// inflation they resolve single-anchor tangential ambiguity the same
-    /// way they disambiguate the grid's ring posteriors.
-    bool ekf_use_non_gaussian_bins = true;
-    /// Floor on the effective range sigma: the PDF-table sigma understates
-    /// the true measurement error (anchor SLAM noise, motion during the
-    /// window), and an overconfident filter gates itself to death.
-    double ekf_min_range_sigma_m = 2.0;
-    /// Covariance inflation (m^2) applied whenever the gate rejects a
-    /// measurement: persistent disagreement must reopen the filter.
-    double ekf_reject_inflation_var = 2.0;
-    /// EKF-CL backend: covariance inflation (m^2) at the end of a window in
-    /// which no measurement was accepted (loss burst / anchor outage).
-    double ekf_missed_window_var = 4.0;
-    /// LinCvx backend: minimum usable beacons for an opportunistic fix.
-    int lincvx_min_beacons = 1;
-    /// Ignore beacons weaker than this RSSI (on top of the PDF-table rules).
-    double beacon_rssi_cutoff_dbm = -std::numeric_limits<double>::infinity();
-    /// Admit beacons whose PDF bin failed the Gaussian fit (the paper's "bad
-    /// beacons" from beyond ~40 m). See RfLocalizer::Options.
-    bool use_non_gaussian_bins = true;
+    /// The belief backend and its tuning (grid, RF technique, beacon filters,
+    /// EKF-CL and LinCvx knobs; see est::Config). `estimation.backend` is the
+    /// Combined-mode backend (docs/estimators.md); other modes pin their own
+    /// — RfOnly/OdometryOnly the grid path, LocalizationMode::Ekf the legacy
+    /// continuous EKF — and the agent derives hold_fixes/legacy_continuous
+    /// from the mode.
+    est::Config estimation;
 
     /// Sleep radios between windows (CoCoA coordination). When false the
     /// radio idles through the whole period — the Fig. 9(b) baseline.
@@ -164,10 +128,11 @@ class CocoaAgent {
         std::uint64_t sync_takeovers = 0;  ///< failover promotions on this robot
     };
 
-    /// `mcast` may be null in PerfectClock mode; `is_sync_robot` selects the
-    /// one robot that originates SYNC messages.
+    /// `kernels` is the scenario's PDF table with its kernel bank; `mcast`
+    /// may be null in PerfectClock mode; `is_sync_robot` selects the one
+    /// robot that originates SYNC messages.
     CocoaAgent(net::Node& node, const AgentConfig& config,
-               std::shared_ptr<const phy::PdfTable> table,
+               std::shared_ptr<const KernelBank> kernels,
                multicast::MulticastNode* mcast, bool is_sync_robot);
 
     CocoaAgent(const CocoaAgent&) = delete;
@@ -280,7 +245,6 @@ class CocoaAgent {
     AgentConfig config_;
     multicast::MulticastNode* mcast_;
     bool is_sync_robot_;
-    std::shared_ptr<const phy::PdfTable> table_;
     mobility::OdometryEstimator odometry_;
     /// Belief backend; constructed in the ctor (after validation), never
     /// null afterwards. Owns the grid localizer in the default backend.

@@ -10,10 +10,6 @@
 
 namespace cocoa::core {
 
-namespace {
-constexpr std::size_t kKernelCacheCapacity = 16;
-}  // namespace
-
 BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
     if (config_.cell_m <= 0.0) {
         throw std::invalid_argument("BayesGrid: cell size must be positive");
@@ -59,14 +55,8 @@ BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
 
     // Seed the uniform prior and compute its statistics once through the
     // fused pass; reset_uniform() restores the cached values thereafter.
-    const double uniform = 1.0 / static_cast<double>(cell_count());
-    for (std::size_t iy = 0; iy < ny_; ++iy) {
-        std::fill_n(cells_.data() + iy * stride_, nx_, uniform);
-    }
-    gridk::ScalePlan plan{cells_.data(), stride_,      ny_,
-                          colx_.data(),  colx2_.data(), row_y_.data(),
-                          row_y2_.data(), 1.0};
-    finish_stats(gridk::scale_and_moments(plan));
+    reset_uniform();
+    scale_and_refresh_stats(1.0);
     uniform_mean_ = stats_mean_;
     uniform_spread_ = stats_spread_;
 }
@@ -83,34 +73,6 @@ void BayesGrid::reset_uniform() {
     }
     stats_mean_ = uniform_mean_;
     stats_spread_ = uniform_spread_;
-}
-
-const RadialKernel& BayesGrid::kernel_for(const phy::DistancePdf& pdf) {
-    ++kernel_cache_tick_;
-    for (KernelSlot& slot : kernel_cache_) {
-        if (slot.mean_m == pdf.mean_m && slot.sigma_m == pdf.sigma_m) {
-            slot.last_use = kernel_cache_tick_;
-            return *slot.kernel;
-        }
-    }
-    // Floor relative to the constraint's own peak, so the relative damping of
-    // off-ring cells is scale-free.
-    const double peak = 1.0 / (pdf.sigma_m * std::sqrt(2.0 * 3.14159265358979323846));
-    auto kernel =
-        std::make_unique<RadialKernel>(pdf.mean_m, pdf.sigma_m, config_.floor_fraction * peak);
-    KernelSlot* slot = nullptr;
-    if (kernel_cache_.size() < kKernelCacheCapacity) {
-        slot = &kernel_cache_.emplace_back();
-    } else {
-        slot = &*std::min_element(
-            kernel_cache_.begin(), kernel_cache_.end(),
-            [](const KernelSlot& a, const KernelSlot& b) { return a.last_use < b.last_use; });
-    }
-    slot->mean_m = pdf.mean_m;
-    slot->sigma_m = pdf.sigma_m;
-    slot->last_use = kernel_cache_tick_;
-    slot->kernel = std::move(kernel);
-    return *slot->kernel;
 }
 
 void BayesGrid::finish_stats(const gridk::Moments& m) {
@@ -232,7 +194,9 @@ void BayesGrid::apply_serial(const geom::Vec2& anchor_position,
     finish_stats({mass.value(), sx.value(), sy.value(), sxx.value(), syy.value()});
 }
 
-void BayesGrid::apply_kernel(const geom::Vec2& anchor_position, const RadialKernel& kernel) {
+void BayesGrid::apply_constraint(const geom::Vec2& anchor_position,
+                                 const RadialKernel& kernel) {
+    obs::ProfileScope profile("core.apply_constraint");
     if (gridk::force_path() == gridk::ForcePath::Serial) {
         apply_serial(anchor_position, kernel);
         return;
@@ -240,20 +204,11 @@ void BayesGrid::apply_kernel(const geom::Vec2& anchor_position, const RadialKern
     apply_blocked(anchor_position, kernel);
 }
 
-void BayesGrid::apply_constraint(const geom::Vec2& anchor_position,
-                                 const phy::DistancePdf& pdf) {
-    obs::ProfileScope profile("core.apply_constraint");
-    if (pdf.sigma_m <= 0.0) {
-        throw std::invalid_argument("BayesGrid: constraint PDF has no spread");
-    }
-    apply_kernel(anchor_position, kernel_for(pdf));
-}
-
 void BayesGrid::apply_constraint_exact(const geom::Vec2& anchor_position,
                                        const phy::DistancePdf& pdf) {
     obs::ProfileScope profile("core.apply_constraint_exact");
-    if (pdf.sigma_m <= 0.0) {
-        throw std::invalid_argument("BayesGrid: constraint PDF has no spread");
+    if (!std::isfinite(pdf.mean_m) || !std::isfinite(pdf.sigma_m) || !(pdf.sigma_m > 0.0)) {
+        throw std::invalid_argument("BayesGrid: PDF needs finite mean and sigma, sigma > 0");
     }
     const double peak = 1.0 / (pdf.sigma_m * std::sqrt(2.0 * 3.14159265358979323846));
     const double floor = config_.floor_fraction * peak;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/grid_kernels.hpp"
@@ -41,9 +39,9 @@ struct GridConfig {
 /// padded to a multiple of gridk::kBlock doubles (padding cells carry zero
 /// mass forever), per-column/per-row operands live in separate SoA arrays,
 /// and the constraint sweep and the fused normalize+moments pass both run
-/// whole blocks at a time. Kernels are cached per (mean, sigma) — the PDF
-/// table has a few dozen distinct bins, so after warmup every beacon hits
-/// the cache.
+/// whole blocks at a time. The grid owns no kernels: callers pass one, in the
+/// simulator the PDF-table bin's kernel from a KernelBank shared by every
+/// grid on that table.
 ///
 /// Posterior statistics (mean, spread) are recomputed eagerly inside every
 /// mutating call, fused into the normalization pass; mean()/spread() are
@@ -72,10 +70,11 @@ class BayesGrid {
     /// Resets to the uniform prior (robot equally likely anywhere).
     void reset_uniform();
 
-    /// Applies one beacon constraint (Eqs. 1-2): the distance PDF looked up
-    /// for the beacon's RSSI, centred on the anchor position carried in the
+    /// Applies one beacon constraint (Eqs. 1-2): the kernel of the distance
+    /// PDF looked up for the beacon's RSSI (built with this grid's
+    /// floor_fraction), centred on the anchor position carried in the
     /// beacon. Renormalizes.
-    void apply_constraint(const geom::Vec2& anchor_position, const phy::DistancePdf& pdf);
+    void apply_constraint(const geom::Vec2& anchor_position, const RadialKernel& kernel);
 
     /// The pre-kernel reference implementation of apply_constraint: exact
     /// sqrt+exp per cell. Kept as the equivalence oracle for tests and as
@@ -97,15 +96,7 @@ class BayesGrid {
     /// Total probability mass (== 1 up to rounding; exposed for tests).
     double total_mass() const;
 
-    /// The cached kernel for this PDF (building it on a miss). Exposed so
-    /// tests can check the certified table directly.
-    const RadialKernel& kernel_for(const phy::DistancePdf& pdf);
-
-    /// Number of kernels currently cached (bounded by the LRU capacity).
-    std::size_t kernel_cache_size() const { return kernel_cache_.size(); }
-
   private:
-    void apply_kernel(const geom::Vec2& anchor_position, const RadialKernel& kernel);
     /// The blocked (SIMD-dispatched) sweep + fused normalize/moments.
     void apply_blocked(const geom::Vec2& anchor_position, const RadialKernel& kernel);
     /// The pre-blocking sequential sweep (incremental squared-distance
@@ -138,18 +129,6 @@ class BayesGrid {
     std::vector<double> blk_qmin_;
     std::vector<double> blk_qmax_;
     std::vector<double> row_qy_;
-
-    /// Tiny LRU over recently used kernels, keyed on the exact (mean, sigma)
-    /// pair. PDF-table bins recur constantly, so 16 slots give a near-perfect
-    /// hit rate while bounding memory for adversarial inputs.
-    struct KernelSlot {
-        double mean_m = 0.0;
-        double sigma_m = 0.0;
-        std::uint64_t last_use = 0;
-        std::unique_ptr<RadialKernel> kernel;
-    };
-    std::vector<KernelSlot> kernel_cache_;
-    std::uint64_t kernel_cache_tick_ = 0;
 
     // Posterior statistics, refreshed eagerly by every mutating call (no
     // lazy mutable cache: const reads must stay race-free).

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/profile.hpp"
 
 namespace cocoa::core {
 namespace {
@@ -21,8 +24,8 @@ constexpr double kCertifyTol = 1e-10;
 
 RadialKernel::RadialKernel(double mean_m, double sigma_m, double floor)
     : mean_(mean_m), sigma_(sigma_m), floor_(floor) {
-    if (sigma_ <= 0.0) {
-        throw std::invalid_argument("RadialKernel: sigma must be positive");
+    if (!std::isfinite(mean_) || !std::isfinite(sigma_) || !(sigma_ > 0.0)) {
+        throw std::invalid_argument("RadialKernel: need finite mean and sigma, sigma > 0");
     }
     peak_ = 1.0 / (sigma_ * std::sqrt(2.0 * 3.14159265358979323846));
     neg_half_inv_sigma_sq_ = -0.5 / (sigma_ * sigma_);
@@ -40,9 +43,16 @@ RadialKernel::RadialKernel(double mean_m, double sigma_m, double floor)
     const double d_ref = std::max(mean_ - 6.0 * sigma_, 0.25 * sigma_);
     const double dq_target = d_ref * sigma_ / 200.0;
     const double want = std::ceil((q_hi_ - q_lo_) / dq_target);
-    interval_count_ = static_cast<std::size_t>(std::clamp(want, 64.0, 32768.0));
-    dq_ = (q_hi_ - q_lo_) / static_cast<double>(interval_count_);
+    const double intervals = std::clamp(want, 64.0, 32768.0);
+    dq_ = (q_hi_ - q_lo_) / intervals;
     inv_dq_ = 1.0 / dq_;
+    // A band too wide to square (q_hi_ overflows) or too thin to step through
+    // leaves no usable lattice — and a NaN interval count.
+    if (!std::isfinite(q_hi_) || !(dq_ > 0.0) || !std::isfinite(inv_dq_) ||
+        !std::isfinite(neg_half_inv_sigma_sq_)) {
+        throw std::invalid_argument("RadialKernel: squared-distance band not representable");
+    }
+    interval_count_ = static_cast<std::size_t>(intervals);
 
     value_.resize(interval_count_ + 1);
     slope_.resize(interval_count_ + 1);
@@ -76,11 +86,44 @@ RadialKernel::RadialKernel(double mean_m, double sigma_m, double floor)
     }
 }
 
+RadialKernel RadialKernel::for_pdf(double mean_m, double sigma_m, double floor_fraction) {
+    const double peak = 1.0 / (sigma_m * std::sqrt(2.0 * 3.14159265358979323846));
+    return RadialKernel(mean_m, sigma_m, floor_fraction * peak);
+}
+
 double RadialKernel::eval_exact_d(double distance_m) const {
     const double u = distance_m - mean_;
     return peak_ * std::exp(u * u * neg_half_inv_sigma_sq_) + floor_;
 }
 
 double RadialKernel::eval_exact_q(double q) const { return eval_exact_d(std::sqrt(q)); }
+
+KernelBank::KernelBank(std::shared_ptr<const phy::PdfTable> table, double floor_fraction)
+    : table_(std::move(table)), floor_fraction_(floor_fraction) {
+    if (!table_) throw std::invalid_argument("KernelBank: PDF table required");
+    if (!(floor_fraction_ >= 0.0 && floor_fraction_ < 1.0)) {
+        throw std::invalid_argument("KernelBank: floor_fraction must be in [0, 1)");
+    }
+    slots_ = std::vector<std::atomic<const RadialKernel*>>(table_->bin_count());
+}
+
+KernelBank::~KernelBank() {
+    for (const auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
+}
+
+const RadialKernel& KernelBank::build(std::size_t bin) const {
+    if (bin >= slots_.size()) throw std::out_of_range("KernelBank: bin past the table");
+    obs::ProfileScope profile("core.kernel_build");
+    const phy::DistancePdf& pdf = table_->bins()[bin];
+    auto built = std::make_unique<const RadialKernel>(
+        RadialKernel::for_pdf(pdf.mean_m, pdf.sigma_m, floor_fraction_));
+    const RadialKernel* published = nullptr;
+    if (slots_[bin].compare_exchange_strong(published, built.get(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+        return *built.release();
+    }
+    return *published;  // another thread won the race; ours is freed
+}
 
 }  // namespace cocoa::core

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <vector>
+
+#include "phy/pdf_table.hpp"
 
 namespace cocoa::core {
 
@@ -35,8 +39,15 @@ class RadialKernel {
   public:
     /// `floor` is the constant the grid adds to the Gaussian density (its
     /// floor_fraction times the peak); baking it into the kernel keeps the
-    /// grid loop to a single eval call.
+    /// grid loop to a single eval call. Throws std::invalid_argument unless
+    /// mean and sigma are finite, sigma is positive and the squared-distance
+    /// band is representable.
     RadialKernel(double mean_m, double sigma_m, double floor);
+
+    /// The constraint kernel of a PDF-table bin: its Gaussian plus a floor of
+    /// `floor_fraction` times the Gaussian's own peak (so the relative damping
+    /// of off-ring cells is scale-free; GridConfig::floor_fraction).
+    static RadialKernel for_pdf(double mean_m, double sigma_m, double floor_fraction);
 
     /// Constraint value at squared distance q. The hot path: callers iterate
     /// the grid in q-space and never take a square root.
@@ -96,6 +107,47 @@ class RadialKernel {
     std::size_t interval_count_ = 0;
     std::vector<double> value_;  ///< g(√q) at each node (floor added at eval)
     std::vector<double> slope_;  ///< dq · d g(√q)/dq at each node
+};
+
+/// The kernels of one PDF table under one floor_fraction, one per table bin,
+/// shared by every grid that folds beacons through that table (§2.2: one PDF
+/// Table, stored at each node). A bin's kernel is built on its first lookup
+/// and published lock-free: the first builder compare-exchanges it into the
+/// bin's slot, and a thread that loses the race frees its copy and uses the
+/// winner's. A kernel is a pure function of (mean, sigma, floor), so the
+/// published bytes never depend on which thread won, and lookups are safe
+/// from any thread. Holders (a Scenario, its estimators, fork cells reusing
+/// a prefix's bank) share it by shared_ptr; the last one frees the kernels.
+class KernelBank {
+  public:
+    KernelBank(std::shared_ptr<const phy::PdfTable> table, double floor_fraction);
+    ~KernelBank();
+    KernelBank(const KernelBank&) = delete;
+    KernelBank& operator=(const KernelBank&) = delete;
+
+    const phy::PdfTable& table() const { return *table_; }
+    const std::shared_ptr<const phy::PdfTable>& table_ptr() const { return table_; }
+    double floor_fraction() const { return floor_fraction_; }
+
+    /// The kernel of bin `bin` (an index into table().bins()), built on first
+    /// use. Throws std::out_of_range past the table and std::invalid_argument
+    /// for a bin no kernel can be built from.
+    const RadialKernel& kernel(std::size_t bin) const {
+        const RadialKernel* k =
+            bin < slots_.size() ? slots_[bin].load(std::memory_order_acquire) : nullptr;
+        return k != nullptr ? *k : build(bin);
+    }
+    /// Whether bin `bin`'s kernel is published (never builds).
+    bool is_built(std::size_t bin) const {
+        return bin < slots_.size() && slots_[bin].load(std::memory_order_acquire) != nullptr;
+    }
+
+  private:
+    const RadialKernel& build(std::size_t bin) const;
+
+    std::shared_ptr<const phy::PdfTable> table_;
+    double floor_fraction_;
+    mutable std::vector<std::atomic<const RadialKernel*>> slots_;
 };
 
 }  // namespace cocoa::core

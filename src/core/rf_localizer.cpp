@@ -7,10 +7,13 @@
 namespace cocoa::core {
 
 RfLocalizer::RfLocalizer(const GridConfig& grid_config,
-                         std::shared_ptr<const phy::PdfTable> table, Options options)
-    : grid_(grid_config), table_(std::move(table)), options_(options) {
-    if (!table_) {
-        throw std::invalid_argument("RfLocalizer: PDF table required");
+                         std::shared_ptr<const KernelBank> kernels, Options options)
+    : grid_(grid_config), kernels_(std::move(kernels)), options_(options) {
+    if (!kernels_) {
+        throw std::invalid_argument("RfLocalizer: kernel bank required");
+    }
+    if (kernels_->floor_fraction() != grid_config.floor_fraction) {
+        throw std::invalid_argument("RfLocalizer: bank floor differs from the grid's");
     }
     if (options_.min_beacons < 1) {
         throw std::invalid_argument("RfLocalizer: min_beacons must be >= 1");
@@ -18,11 +21,12 @@ RfLocalizer::RfLocalizer(const GridConfig& grid_config,
 }
 
 RfLocalizer::RfLocalizer(const GridConfig& grid_config,
-                         std::shared_ptr<const phy::PdfTable> table)
-    : RfLocalizer(grid_config, std::move(table), Options{}) {}
+                         std::shared_ptr<const KernelBank> kernels)
+    : RfLocalizer(grid_config, std::move(kernels), Options{}) {}
 
 std::optional<Fix> RfLocalizer::compute_fix(
     const std::vector<BeaconObservation>& observations) {
+    const phy::PdfTable& table = kernels_->table();
     std::vector<RangedBeacon> beacons;
     beacons.reserve(observations.size());
     for (const BeaconObservation& obs : observations) {
@@ -30,7 +34,7 @@ std::optional<Fix> RfLocalizer::compute_fix(
             ++stats_.beacons_without_bin;
             continue;
         }
-        const phy::DistancePdf* pdf = table_->lookup(obs.rssi_dbm);
+        const phy::DistancePdf* pdf = table.lookup(obs.rssi_dbm);
         if (pdf == nullptr) {
             ++stats_.beacons_without_bin;
             continue;
@@ -39,7 +43,9 @@ std::optional<Fix> RfLocalizer::compute_fix(
             ++stats_.beacons_non_gaussian;
             continue;
         }
-        beacons.push_back({obs.anchor_position, pdf->mean_m, pdf->sigma_m});
+        beacons.push_back({obs.anchor_position,
+                           static_cast<std::size_t>(pdf - table.bins().data()), pdf->mean_m,
+                           pdf->sigma_m});
     }
     if (static_cast<int>(beacons.size()) < options_.min_beacons) {
         ++stats_.rejected_too_few;
@@ -60,10 +66,7 @@ std::optional<Fix> RfLocalizer::compute_fix(
 Fix RfLocalizer::bayesian_fix(const std::vector<RangedBeacon>& beacons) {
     grid_.reset_uniform();
     for (const RangedBeacon& b : beacons) {
-        phy::DistancePdf pdf;
-        pdf.mean_m = b.distance_m;
-        pdf.sigma_m = b.sigma_m;
-        grid_.apply_constraint(b.anchor, pdf);
+        grid_.apply_constraint(b.anchor, kernels_->kernel(b.bin));
     }
     return Fix{grid_.mean(), static_cast<int>(beacons.size()), grid_.spread()};
 }

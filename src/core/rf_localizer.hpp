@@ -60,9 +60,10 @@ class RfLocalizer {
         bool use_non_gaussian_bins = true;
     };
 
-    RfLocalizer(const GridConfig& grid_config, std::shared_ptr<const phy::PdfTable> table,
+    /// `kernels` (the PDF table) must share grid_config's floor_fraction.
+    RfLocalizer(const GridConfig& grid_config, std::shared_ptr<const KernelBank> kernels,
                 Options options);
-    RfLocalizer(const GridConfig& grid_config, std::shared_ptr<const phy::PdfTable> table);
+    RfLocalizer(const GridConfig& grid_config, std::shared_ptr<const KernelBank> kernels);
 
     /// Runs Eqs. (1)-(3) over the observations. Returns std::nullopt when
     /// fewer than min_beacons observations had usable PDF bins (the robot
@@ -72,7 +73,7 @@ class RfLocalizer {
     /// The posterior of the most recent compute_fix call (diagnostics).
     const BayesGrid& grid() const { return grid_; }
     const Options& options() const { return options_; }
-    const phy::PdfTable& table() const { return *table_; }
+    const KernelBank& kernels() const { return *kernels_; }
 
     struct Stats {
         std::uint64_t fixes = 0;
@@ -99,6 +100,7 @@ class RfLocalizer {
     /// One admitted observation after PDF-table filtering.
     struct RangedBeacon {
         geom::Vec2 anchor;
+        std::size_t bin = 0;      ///< index of the PDF bin in the table
         double distance_m = 0.0;  ///< the PDF bin's fitted mean
         double sigma_m = 0.0;     ///< the bin's fitted sigma
     };
@@ -108,7 +110,7 @@ class RfLocalizer {
     Fix least_squares_fix(const std::vector<RangedBeacon>& beacons) const;
 
     BayesGrid grid_;
-    std::shared_ptr<const phy::PdfTable> table_;
+    std::shared_ptr<const KernelBank> kernels_;
     Options options_;
     Stats stats_;
 };

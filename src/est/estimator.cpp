@@ -1,5 +1,6 @@
 #include "est/estimator.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "est/ekf_cl.hpp"
@@ -41,17 +42,18 @@ void Estimator::load_state(sim::ckpt::Reader& r) {
 }
 
 std::unique_ptr<Estimator> make_estimator(
-    const Config& config, std::shared_ptr<const phy::PdfTable> table,
+    const Config& config, std::shared_ptr<const core::KernelBank> kernels,
     mobility::OdometryEstimator* odometry) {
+    if (!kernels) throw std::invalid_argument("make_estimator: kernel bank required");
     switch (config.backend) {
         case Backend::Ekf:
-            return std::make_unique<EkfClEstimator>(config, std::move(table));
+            return std::make_unique<EkfClEstimator>(config, kernels->table_ptr());
         case Backend::LinCvx:
-            return std::make_unique<LinCvxEstimator>(config, std::move(table));
+            return std::make_unique<LinCvxEstimator>(config, kernels->table_ptr());
         case Backend::Grid:
             break;
     }
-    return std::make_unique<GridEstimator>(config, std::move(table), odometry);
+    return std::make_unique<GridEstimator>(config, std::move(kernels), odometry);
 }
 
 }  // namespace cocoa::est

@@ -35,16 +35,20 @@ const char* to_string(Backend backend);
 /// "grid" | "ekf" | "lincvx" -> Backend; std::nullopt for anything else.
 std::optional<Backend> parse_backend(std::string_view name);
 
-/// Estimator tuning, sliced out of AgentConfig by the agent. One struct for
-/// all backends: each reads the subset it cares about, so a scenario sweep
-/// can switch backends without touching the rest of its configuration.
+/// Estimator tuning (AgentConfig::estimation). One struct for all backends:
+/// each reads the subset it cares about, so a scenario sweep can switch
+/// backends without touching the rest of its configuration.
 struct Config {
     Backend backend = Backend::Grid;
 
     core::GridConfig grid;  ///< area (all backends) + cell size (grid)
+    /// Which RF technique turns window beacons into a fix (§5 pluggability).
     core::RfTechnique technique = core::RfTechnique::BayesianGrid;
     int min_beacons_for_fix = 3;
+    /// Ignore beacons weaker than this RSSI (on top of the PDF-table rules).
     double beacon_rssi_cutoff_dbm = -std::numeric_limits<double>::infinity();
+    /// Admit beacons whose PDF bin failed the Gaussian fit (the paper's "bad
+    /// beacons" from beyond ~40 m). See RfLocalizer::Options.
     bool use_non_gaussian_bins = true;
     /// RfOnly mode: hold the raw fix between windows instead of re-anchoring
     /// the dead-reckoning at it.
@@ -54,13 +58,27 @@ struct Config {
     /// backend reproduces it bit-exactly when this is set.
     bool legacy_continuous = false;
 
-    // EKF-CL process/measurement tuning (see AgentConfig for the rationale;
-    // the displacement/floor pair also drives LinCvx's prior inflation).
+    /// EKF process noise: fractional error on each dead-reckoned
+    /// displacement, plus a floor variance accrued per second (also LinCvx's
+    /// prior inflation). The floor is deliberately generous: odometry drift
+    /// is bias-driven (grows faster than a random walk), and an
+    /// overconfident filter under-weights its corrections.
     double ekf_q_displacement_frac = 0.1;
-    double ekf_q_floor_var_per_s = 0.6;
+    double ekf_q_floor_var_per_s = 0.6;  ///< m^2 / s
+    /// EKF innovation gate (standard deviations); bad beacons beyond it are
+    /// ignored.
     double ekf_gate_sigmas = 4.0;
+    /// Far-field (non-Gaussian-bin) beacons carry real information even for
+    /// the EKF: with the sigma floor, the innovation gate and rejection
+    /// inflation they resolve single-anchor tangential ambiguity the same
+    /// way they disambiguate the grid's ring posteriors.
     bool ekf_use_non_gaussian_bins = true;
+    /// Floor on the effective range sigma: the PDF-table sigma understates
+    /// the true measurement error (anchor SLAM noise, motion during the
+    /// window), and an overconfident filter gates itself to death.
     double ekf_min_range_sigma_m = 2.0;
+    /// Covariance inflation (m^2) applied whenever the gate rejects a
+    /// measurement: persistent disagreement must reopen the filter.
     double ekf_reject_inflation_var = 2.0;
     /// Covariance inflation (m^2) applied at the end of a window in which no
     /// measurement was accepted: under loss bursts or anchor outages the
@@ -159,11 +177,13 @@ class Estimator {
     double last_fix_spread_m_ = std::numeric_limits<double>::infinity();
 };
 
-/// Builds the configured backend. `odometry` is the agent-owned dead-
-/// reckoning estimate the grid backend re-anchors at each fix (and reads
-/// between fixes in Combined mode); it must outlive the estimator.
+/// Builds the configured backend. `kernels` carries the PDF table every
+/// backend ranges through (and the grid backend's radial kernels; its
+/// floor_fraction must match config.grid's). `odometry` is the agent-owned
+/// dead-reckoning estimate the grid backend re-anchors at each fix (and
+/// reads between fixes in Combined mode); it must outlive the estimator.
 std::unique_ptr<Estimator> make_estimator(
-    const Config& config, std::shared_ptr<const phy::PdfTable> table,
+    const Config& config, std::shared_ptr<const core::KernelBank> kernels,
     mobility::OdometryEstimator* odometry);
 
 }  // namespace cocoa::est

@@ -7,9 +7,9 @@
 namespace cocoa::est {
 
 GridEstimator::GridEstimator(const Config& config,
-                             std::shared_ptr<const phy::PdfTable> table,
+                             std::shared_ptr<const core::KernelBank> kernels,
                              mobility::OdometryEstimator* odometry)
-    : localizer_(config.grid, std::move(table),
+    : localizer_(config.grid, std::move(kernels),
                  core::RfLocalizer::Options{
                      .technique = config.technique,
                      .min_beacons = config.min_beacons_for_fix,

@@ -17,7 +17,7 @@ namespace cocoa::est {
 /// equivalence gate enforces.
 class GridEstimator final : public Estimator {
   public:
-    GridEstimator(const Config& config, std::shared_ptr<const phy::PdfTable> table,
+    GridEstimator(const Config& config, std::shared_ptr<const core::KernelBank> kernels,
                   mobility::OdometryEstimator* odometry);
 
     Backend backend() const override { return Backend::Grid; }

@@ -87,7 +87,9 @@ double measure_fix_cpu_ns(est::Backend backend, const core::ScenarioConfig& base
     mobility::OdometryEstimator odometry(base.odometry, sim::RandomStream(base.seed));
     odometry.reset(ec.grid.area.center(), 0.0);
     const std::unique_ptr<est::Estimator> estimator =
-        est::make_estimator(ec, table, &odometry);
+        est::make_estimator(
+            ec, std::make_shared<const core::KernelBank>(table, ec.grid.floor_fraction),
+            &odometry);
     estimator->reset(ec.grid.area.center(), false);
 
     // Synthetic windows: anchors on a deterministic ring around the centre,

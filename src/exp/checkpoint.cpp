@@ -80,7 +80,12 @@ RestoredScenario restore_scenario_checkpoint(
     if (has_injector) plan = load_plan(r);
 
     RestoredScenario out;
-    out.scenario = std::make_unique<core::Scenario>(config, std::move(shared_table));
+    std::shared_ptr<const core::KernelBank> kernels;
+    if (shared_table != nullptr) {
+        kernels = std::make_shared<const core::KernelBank>(std::move(shared_table),
+                                                           config.floor_fraction);
+    }
+    out.scenario = std::make_unique<core::Scenario>(config, std::move(kernels));
     if (has_injector) {
         out.injector =
             std::make_unique<fault::FaultInjector>(*out.scenario, std::move(plan));

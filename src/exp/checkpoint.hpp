@@ -33,7 +33,8 @@ struct RestoredScenario {
 /// Restores a scenario checkpoint. `shared_table` skips the PDF-table
 /// calibration (fork path: the table is a pure function of (channel,
 /// calibration, seed), all inside the blob's config, so sharing it changes
-/// nothing); null recalibrates from the restored config.
+/// nothing); null recalibrates from the restored config. Either way the
+/// restored scenario starts a fresh kernel bank over its table.
 RestoredScenario restore_scenario_checkpoint(
     const std::string& blob,
     std::shared_ptr<const phy::PdfTable> shared_table = nullptr);

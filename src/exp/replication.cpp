@@ -106,7 +106,7 @@ struct ForkGroup {
     std::vector<std::size_t> tasks;  ///< task indices sharing the prefix
     sim::TimePoint t_fork;
     std::string blob;
-    std::shared_ptr<const phy::PdfTable> table;
+    std::shared_ptr<const core::KernelBank> kernels;  ///< the prefix's, warm
     std::exception_ptr error;
 };
 
@@ -125,7 +125,7 @@ ReplicationRecord run_forked_member(const core::ScenarioConfig& config, int inde
 
     obs::ProfileScope profile("exp.replication");
     const auto t0 = std::chrono::steady_clock::now();
-    core::Scenario scenario(run_config, group.table);
+    core::Scenario scenario(run_config, group.kernels);
     {
         sim::ckpt::Reader r(group.blob);
         scenario.load_state(r);
@@ -244,7 +244,7 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
             sim::ckpt::Writer w;
             prefix.save_state(w);
             group.blob = w.take();
-            group.table = prefix.pdf_table_ptr();
+            group.kernels = prefix.kernel_bank_ptr();
         } catch (...) {
             group.error = std::current_exception();
         }

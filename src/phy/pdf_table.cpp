@@ -188,6 +188,13 @@ PdfTable PdfTable::load(std::istream& is) {
               pdf.skewness >> pdf.excess_kurtosis)) {
             throw std::invalid_argument("PdfTable::load: truncated bin data");
         }
+        // A bin is a distance distribution: finite, non-negative moments.
+        // The grid localizer squares distances out to ~8.5 sigma past the
+        // mean, so that reach must stay representable when squared.
+        const double reach = pdf.mean_m + 10.0 * pdf.sigma_m;
+        if (!(pdf.mean_m >= 0.0) || !(pdf.sigma_m >= 0.0) || !std::isfinite(reach * reach)) {
+            throw std::invalid_argument("PdfTable::load: bin moments out of range");
+        }
         pdf.gaussian_fit_ok = gaussian != 0;
     }
     PdfTable table(min_rssi, std::move(bins));

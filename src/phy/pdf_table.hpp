@@ -87,7 +87,8 @@ class PdfTable {
     void save(std::ostream& os) const;
 
     /// Parses a table produced by save(). Throws std::invalid_argument on a
-    /// malformed stream.
+    /// malformed stream or a bin whose moments are negative, non-finite or
+    /// too large to square.
     static PdfTable load(std::istream& is);
 
   private:

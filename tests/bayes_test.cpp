@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/bayes_grid.hpp"
+#include "core/rf_localizer.hpp"
 #include "core/grid_kernels.hpp"
+#include "phy/channel.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::core {
@@ -29,6 +37,12 @@ phy::DistancePdf make_pdf(double mean, double sigma) {
     pdf.gaussian_fit_ok = true;
     pdf.sample_count = 1000;
     return pdf;
+}
+
+/// The constraint kernel a grid with `floor_fraction` folds in for `pdf`.
+RadialKernel kernel(const phy::DistancePdf& pdf,
+                    double floor_fraction = GridConfig{}.floor_fraction) {
+    return RadialKernel::for_pdf(pdf.mean_m, pdf.sigma_m, floor_fraction);
 }
 
 TEST(BayesGrid, DimensionsFromCellSize) {
@@ -81,14 +95,14 @@ TEST(BayesGrid, CellCentersCoverArea) {
 
 TEST(BayesGrid, ConstraintNormalizes) {
     BayesGrid g(paper_grid());
-    g.apply_constraint({100.0, 100.0}, make_pdf(20.0, 3.0));
+    g.apply_constraint({100.0, 100.0}, kernel(make_pdf(20.0, 3.0)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
 }
 
 TEST(BayesGrid, ConstraintConcentratesOnRing) {
     BayesGrid g(paper_grid());
     const Vec2 anchor{100.0, 100.0};
-    g.apply_constraint(anchor, make_pdf(20.0, 3.0));
+    g.apply_constraint(anchor, kernel(make_pdf(20.0, 3.0)));
     // A cell on the ring (distance 20 from the anchor) must beat one far off.
     const double on_ring = g.mass_at(60, 50);   // center (121, 101): d ~ 21
     const double off_ring = g.mass_at(80, 50);  // center (161, 101): d ~ 61
@@ -100,7 +114,7 @@ TEST(BayesGrid, RingConstraintKeepsMeanNearAnchor) {
     // falls near the anchor itself (the ring's centroid).
     BayesGrid g(paper_grid());
     const Vec2 anchor{100.0, 100.0};
-    g.apply_constraint(anchor, make_pdf(25.0, 3.0));
+    g.apply_constraint(anchor, kernel(make_pdf(25.0, 3.0)));
     EXPECT_NEAR(g.mean().x, anchor.x, 1.0);
     EXPECT_NEAR(g.mean().y, anchor.y, 1.0);
     // But the spread is large: a ring is not a point estimate.
@@ -114,7 +128,7 @@ TEST(BayesGrid, ThreeAnchorsTriangulate) {
     const Vec2 truth{80.0, 120.0};
     const Vec2 anchors[] = {{60.0, 100.0}, {110.0, 130.0}, {85.0, 90.0}};
     for (const Vec2& a : anchors) {
-        g.apply_constraint(a, make_pdf(geom::distance(a, truth), 2.0));
+        g.apply_constraint(a, kernel(make_pdf(geom::distance(a, truth), 2.0)));
     }
     EXPECT_NEAR(g.mean().x, truth.x, 2.5);
     EXPECT_NEAR(g.mean().y, truth.y, 2.5);
@@ -135,8 +149,8 @@ TEST(BayesGrid, MoreBeaconsTightenPosterior) {
     int i = 0;
     for (const Vec2& a : anchors) {
         const auto pdf = make_pdf(geom::distance(a, truth), 3.0);
-        if (i < 3) g3.apply_constraint(a, pdf);
-        g5.apply_constraint(a, pdf);
+        if (i < 3) g3.apply_constraint(a, kernel(pdf));
+        g5.apply_constraint(a, kernel(pdf));
         ++i;
     }
     EXPECT_LT(g5.spread(), g3.spread());
@@ -147,18 +161,18 @@ TEST(BayesGrid, SequentialUpdatesCommute) {
     const Vec2 a1{60.0, 100.0};
     const Vec2 a2{110.0, 130.0};
     BayesGrid fwd(paper_grid());
-    fwd.apply_constraint(a1, make_pdf(30.0, 4.0));
-    fwd.apply_constraint(a2, make_pdf(40.0, 4.0));
+    fwd.apply_constraint(a1, kernel(make_pdf(30.0, 4.0)));
+    fwd.apply_constraint(a2, kernel(make_pdf(40.0, 4.0)));
     BayesGrid rev(paper_grid());
-    rev.apply_constraint(a2, make_pdf(40.0, 4.0));
-    rev.apply_constraint(a1, make_pdf(30.0, 4.0));
+    rev.apply_constraint(a2, kernel(make_pdf(40.0, 4.0)));
+    rev.apply_constraint(a1, kernel(make_pdf(30.0, 4.0)));
     EXPECT_NEAR(fwd.mean().x, rev.mean().x, 1e-9);
     EXPECT_NEAR(fwd.mean().y, rev.mean().y, 1e-9);
 }
 
 TEST(BayesGrid, ResetRestoresUniform) {
     BayesGrid g(paper_grid());
-    g.apply_constraint({100.0, 100.0}, make_pdf(20.0, 3.0));
+    g.apply_constraint({100.0, 100.0}, kernel(make_pdf(20.0, 3.0)));
     g.reset_uniform();
     EXPECT_NEAR(g.mass_at(0, 0), 1.0 / 10000.0, 1e-15);
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
@@ -168,8 +182,8 @@ TEST(BayesGrid, ConflictingConstraintsStayProper) {
     // Two rings that cannot both hold (anchors 100 m apart, both claiming
     // distance 5 m): the floor keeps the posterior proper.
     BayesGrid g(paper_grid());
-    g.apply_constraint({50.0, 100.0}, make_pdf(5.0, 1.0));
-    g.apply_constraint({150.0, 100.0}, make_pdf(5.0, 1.0));
+    g.apply_constraint({50.0, 100.0}, kernel(make_pdf(5.0, 1.0)));
+    g.apply_constraint({150.0, 100.0}, kernel(make_pdf(5.0, 1.0)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
     const Vec2 mean = g.mean();
     EXPECT_TRUE(paper_grid().area.contains(mean));
@@ -177,7 +191,7 @@ TEST(BayesGrid, ConflictingConstraintsStayProper) {
 
 TEST(BayesGrid, ZeroSigmaConstraintThrows) {
     BayesGrid g(paper_grid());
-    EXPECT_THROW(g.apply_constraint({0.0, 0.0}, make_pdf(10.0, 0.0)),
+    EXPECT_THROW(g.apply_constraint({0.0, 0.0}, kernel(make_pdf(10.0, 0.0))),
                  std::invalid_argument);
 }
 
@@ -185,7 +199,7 @@ TEST(BayesGrid, AnchorOutsideAreaStillWorks) {
     // Beacons can come from robots slightly outside the blind robot's grid
     // model (Eq. 1 only constrains (x, y) inside the deployment area).
     BayesGrid g(paper_grid());
-    g.apply_constraint({-20.0, 100.0}, make_pdf(30.0, 3.0));
+    g.apply_constraint({-20.0, 100.0}, kernel(make_pdf(30.0, 3.0)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
     // Mass concentrates near the area edge closest to the ring.
     EXPECT_LT(g.mean().x, 60.0);
@@ -195,7 +209,7 @@ TEST(BayesGrid, MeanAlwaysInsideArea) {
     BayesGrid g(paper_grid());
     for (int i = 0; i < 5; ++i) {
         g.apply_constraint({200.0 * (i % 2 ? 1.0 : 0.0), 40.0 * i},
-                           make_pdf(10.0 + 20.0 * i, 2.0 + i));
+                           kernel(make_pdf(10.0 + 20.0 * i, 2.0 + i)));
         EXPECT_TRUE(paper_grid().area.contains(g.mean()));
     }
 }
@@ -212,7 +226,7 @@ TEST_P(GridPropertySweep, PosteriorInvariants) {
     const Vec2 truth{120.0, 80.0};
     const Vec2 anchor{anchor_x, 60.0};
     BayesGrid g(paper_grid());
-    g.apply_constraint(anchor, make_pdf(geom::distance(anchor, truth), sigma));
+    g.apply_constraint(anchor, kernel(make_pdf(geom::distance(anchor, truth), sigma)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
     EXPECT_TRUE(paper_grid().area.contains(g.mean()));
     EXPECT_GT(g.spread(), 0.0);
@@ -245,7 +259,7 @@ TEST(BayesGridKernel, LutMatchesExactAcrossRandomConstraints) {
             const Vec2 anchor{rng.uniform(-20.0, 220.0), rng.uniform(-20.0, 220.0)};
             const phy::DistancePdf pdf =
                 make_pdf(rng.uniform(2.0, 150.0), rng.uniform(0.5, 25.0));
-            fast.apply_constraint(anchor, pdf);
+            fast.apply_constraint(anchor, kernel(pdf));
             exact.apply_constraint_exact(anchor, pdf);
         }
         EXPECT_NEAR(fast.mean().x, exact.mean().x, 1e-9 * scale);
@@ -261,11 +275,10 @@ TEST(BayesGridKernel, LutMatchesExactAcrossRandomConstraints) {
 // Every kernel self-certifies at build time: interpolated evaluations agree
 // with the exact Gaussian-plus-floor to ~1e-10 relative everywhere.
 TEST(BayesGridKernel, KernelEvalCertified) {
-    BayesGrid g(paper_grid());
     sim::RandomStream rng(7);
     for (const auto& [mean, sigma] :
          {std::pair{40.0, 3.0}, {3.0, 4.0}, {120.0, 15.0}, {1.0, 0.7}}) {
-        const RadialKernel& k = g.kernel_for(make_pdf(mean, sigma));
+        const RadialKernel k = kernel(make_pdf(mean, sigma));
         for (int i = 0; i < 20000; ++i) {
             const double q = rng.uniform(0.0, k.q_hi() * 1.1);
             const double got = k.eval_q(q);
@@ -284,7 +297,7 @@ TEST(BayesGridKernel, NearAnchorCellsExact) {
     BayesGrid exact(paper_grid());
     const Vec2 anchor{101.0, 99.0};  // inside a cell, near its corner
     const phy::DistancePdf pdf = make_pdf(1.5, 2.0);
-    fast.apply_constraint(anchor, pdf);
+    fast.apply_constraint(anchor, kernel(pdf));
     exact.apply_constraint_exact(anchor, pdf);
     for (std::size_t iy = 45; iy < 55; ++iy) {
         for (std::size_t ix = 45; ix < 55; ++ix) {
@@ -294,19 +307,22 @@ TEST(BayesGridKernel, NearAnchorCellsExact) {
     }
 }
 
-TEST(BayesGridKernel, CacheIsBoundedAndHits) {
-    BayesGrid g(paper_grid());
-    const phy::DistancePdf pdf = make_pdf(40.0, 3.0);
-    const RadialKernel* first = &g.kernel_for(pdf);
-    EXPECT_EQ(&g.kernel_for(pdf), first);  // same (mean, sigma) → same kernel
-    EXPECT_EQ(g.kernel_cache_size(), 1u);
-    for (int i = 0; i < 40; ++i) {
-        g.kernel_for(make_pdf(20.0 + i, 2.0 + 0.1 * i));
+// Kernels reject parameters they cannot tabulate instead of computing a NaN
+// interval count: non-finite moments, and bands too wide to square.
+TEST(BayesGridKernel, UnbuildableKernelsThrow) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto& [mean, sigma] : {std::pair{nan, 3.0}, {40.0, nan}, {inf, 3.0},
+                                      {40.0, inf}, {40.0, -1.0}, {40.0, 1e300},
+                                      {1e300, 3.0}, {0.0, 1e-170}}) {
+        EXPECT_THROW(RadialKernel::for_pdf(mean, sigma, 0.01), std::invalid_argument)
+            << "mean=" << mean << " sigma=" << sigma;
     }
-    EXPECT_LE(g.kernel_cache_size(), 16u);  // LRU capacity
-    // Still correct after heavy eviction.
-    g.apply_constraint({100.0, 100.0}, pdf);
-    EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
+    BayesGrid g(paper_grid());
+    EXPECT_THROW(g.apply_constraint_exact({0.0, 0.0}, make_pdf(40.0, nan)),
+                 std::invalid_argument);
+    EXPECT_THROW(g.apply_constraint_exact({0.0, 0.0}, make_pdf(nan, 3.0)),
+                 std::invalid_argument);
 }
 
 // The compensated/pairwise summations keep the mass budget honest on a
@@ -318,9 +334,9 @@ TEST(BayesGridKernel, MillionCellMassDrift) {
     BayesGrid g(cfg);
     ASSERT_EQ(g.cell_count(), 1'000'000u);
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-12);
-    g.apply_constraint({60.0, 140.0}, make_pdf(50.0, 4.0));
+    g.apply_constraint({60.0, 140.0}, kernel(make_pdf(50.0, 4.0)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-12);
-    g.apply_constraint({150.0, 40.0}, make_pdf(80.0, 10.0));
+    g.apply_constraint({150.0, 40.0}, kernel(make_pdf(80.0, 10.0)));
     EXPECT_NEAR(g.total_mass(), 1.0, 1e-12);
     EXPECT_TRUE(cfg.area.contains(g.mean()));
 }
@@ -373,7 +389,7 @@ TEST(BayesGridKernel, SimdMatchesExactOracleOnEdgeLayouts) {
                 const phy::DistancePdf pdf =
                     make_pdf(std::max(0.5, d * rng.uniform(0.95, 1.05)),
                              rng.uniform(0.05, 20.0));
-                fast.apply_constraint(anchor, pdf);
+                fast.apply_constraint(anchor, kernel(pdf, l.floor_frac));
                 exact.apply_constraint_exact(anchor, pdf);
             }
             EXPECT_NEAR(fast.total_mass(), 1.0, 1e-10);
@@ -414,10 +430,10 @@ TEST(BayesGridKernel, DispatchedAndGenericPathsAreBitwiseIdentical) {
     const std::vector<phy::DistancePdf> pdfs = {
         make_pdf(40.0, 3.0), make_pdf(3.0, 4.0), make_pdf(120.0, 15.0),
         make_pdf(1.0, 0.7)};
-    for (const auto& pdf : pdfs) dispatched.apply_constraint(anchor, pdf);
+    for (const auto& pdf : pdfs) dispatched.apply_constraint(anchor, kernel(pdf));
     {
         ForcePathGuard guard(gridk::ForcePath::Generic);
-        for (const auto& pdf : pdfs) generic.apply_constraint(anchor, pdf);
+        for (const auto& pdf : pdfs) generic.apply_constraint(anchor, kernel(pdf));
     }
 
     for (std::size_t iy = 0; iy < dispatched.ny(); ++iy) {
@@ -439,10 +455,10 @@ TEST(BayesGridKernel, SerialTwinMatchesWithinTolerance) {
     BayesGrid blocked(cfg);
     BayesGrid serial(cfg);
     const phy::DistancePdf pdf = make_pdf(60.0, 5.0);
-    blocked.apply_constraint({80.0, 90.0}, pdf);
+    blocked.apply_constraint({80.0, 90.0}, kernel(pdf));
     {
         ForcePathGuard guard(gridk::ForcePath::Serial);
-        serial.apply_constraint({80.0, 90.0}, pdf);
+        serial.apply_constraint({80.0, 90.0}, kernel(pdf));
     }
     EXPECT_NEAR(serial.total_mass(), 1.0, 1e-10);
     const double scale = cfg.area.diagonal();
@@ -456,13 +472,168 @@ TEST(BayesGridKernel, FusedStatsCacheInvalidates) {
     BayesGrid g(paper_grid());
     const Vec2 before = g.mean();
     EXPECT_NEAR(before.x, 100.0, 1e-9);
-    g.apply_constraint({40.0, 40.0}, make_pdf(10.0, 3.0));
+    g.apply_constraint({40.0, 40.0}, kernel(make_pdf(10.0, 3.0)));
     const Vec2 after = g.mean();
     EXPECT_GT(geom::distance(before, after), 1.0);
     const double s1 = g.spread();
     g.reset_uniform();
     EXPECT_NE(g.spread(), s1);
     EXPECT_NEAR(g.mean().x, 100.0, 1e-9);
+}
+
+// --- kernel bank ------------------------------------------------------------
+
+std::shared_ptr<const phy::PdfTable> calibrated_table() {
+    static const auto table = std::make_shared<const phy::PdfTable>(
+        phy::PdfTable::calibrate(phy::Channel{}, {}, sim::RandomStream(7)));
+    return table;
+}
+
+/// Indices of the bins PdfTable::lookup hands out (the only ones a localizer
+/// ever asks the bank for).
+std::vector<std::size_t> usable_bins(const phy::PdfTable& table) {
+    std::vector<std::size_t> bins;
+    for (int rssi = table.min_rssi_dbm(); rssi <= table.max_rssi_dbm(); ++rssi) {
+        if (const phy::DistancePdf* pdf = table.lookup(rssi)) {
+            bins.push_back(static_cast<std::size_t>(pdf - table.bins().data()));
+        }
+    }
+    return bins;
+}
+
+/// Beacons whose RSSIs hit `rssis`, from anchors around the area centre.
+std::vector<BeaconObservation> beacons_at(const std::vector<double>& rssis) {
+    std::vector<BeaconObservation> obs;
+    for (std::size_t i = 0; i < rssis.size(); ++i) {
+        const double angle = 2.0 * static_cast<double>(i);
+        obs.push_back({{100.0 + 60.0 * std::cos(angle), 100.0 + 60.0 * std::sin(angle)},
+                       rssis[i]});
+    }
+    return obs;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Every grid on a table folds the bank's one kernel per bin: two localizers
+// sharing a table's bank get the same kernel object for every bin, and the
+// second localizer's fix builds nothing the first did not.
+TEST(KernelBank, LocalizersSharingATableShareKernels) {
+    const auto bank = std::make_shared<const KernelBank>(calibrated_table(),
+                                                         paper_grid().floor_fraction);
+    RfLocalizer first(paper_grid(), bank);
+    RfLocalizer second(paper_grid(), bank);
+    const auto obs = beacons_at({-50.0, -60.0, -70.0, -80.0});
+    const auto fix1 = first.compute_fix(obs);
+    ASSERT_TRUE(fix1.has_value());
+    std::vector<bool> built;
+    for (std::size_t b = 0; b < bank->table().bin_count(); ++b) {
+        built.push_back(bank->is_built(b));
+    }
+    const auto fix2 = second.compute_fix(obs);
+    ASSERT_TRUE(fix2.has_value());
+    EXPECT_EQ(fix1->position, fix2->position);
+    for (std::size_t b = 0; b < bank->table().bin_count(); ++b) {
+        EXPECT_EQ(bank->is_built(b), built[b]) << "bin " << b;
+    }
+    for (const std::size_t b : usable_bins(bank->table())) {
+        EXPECT_EQ(&first.kernels().kernel(b), &second.kernels().kernel(b)) << "bin " << b;
+    }
+}
+
+// A bank kernel is exactly the kernel a grid would build on its own: every
+// usable bin matches a freshly built RadialKernel bit for bit.
+TEST(KernelBank, EveryBinBitwiseEqualsFreshKernel) {
+    const double floor_fraction = 0.03;
+    const KernelBank bank(calibrated_table(), floor_fraction);
+    const std::vector<std::size_t> bins = usable_bins(bank.table());
+    ASSERT_GT(bins.size(), 40u);
+    for (const std::size_t b : bins) {
+        const phy::DistancePdf& pdf = bank.table().bins()[b];
+        const RadialKernel& got = bank.kernel(b);
+        const RadialKernel want =
+            RadialKernel::for_pdf(pdf.mean_m, pdf.sigma_m, floor_fraction);
+        ASSERT_EQ(got.node_count(), want.node_count()) << "bin " << b;
+        EXPECT_EQ(got.interval_count(), want.interval_count()) << "bin " << b;
+        EXPECT_EQ(bits(got.q_lo()), bits(want.q_lo())) << "bin " << b;
+        EXPECT_EQ(bits(got.q_hi()), bits(want.q_hi())) << "bin " << b;
+        EXPECT_EQ(bits(got.q_exact()), bits(want.q_exact())) << "bin " << b;
+        EXPECT_EQ(bits(got.inv_dq()), bits(want.inv_dq())) << "bin " << b;
+        EXPECT_EQ(bits(got.floor()), bits(want.floor())) << "bin " << b;
+        for (std::size_t i = 0; i < got.node_count(); ++i) {
+            ASSERT_EQ(bits(got.values()[i]), bits(want.values()[i])) << "bin " << b;
+            ASSERT_EQ(bits(got.slopes()[i]), bits(want.slopes()[i])) << "bin " << b;
+        }
+    }
+}
+
+// Kernels stay lazy: a bin that is never looked up is never built, and a
+// localizer that ranges without the grid builds none at all.
+TEST(KernelBank, BinsNeverLookedUpAreNeverBuilt) {
+    const auto bank = std::make_shared<const KernelBank>(calibrated_table(),
+                                                         paper_grid().floor_fraction);
+    const phy::PdfTable& table = bank->table();
+    const auto obs = beacons_at({-55.0, -65.0, -75.0});
+    RfLocalizer::Options centroid;
+    centroid.technique = RfTechnique::WeightedCentroid;
+    ASSERT_TRUE(RfLocalizer(paper_grid(), bank, centroid).compute_fix(obs).has_value());
+    for (std::size_t b = 0; b < table.bin_count(); ++b) {
+        EXPECT_FALSE(bank->is_built(b)) << "bin " << b;
+    }
+    RfLocalizer grid(paper_grid(), bank);
+    ASSERT_TRUE(grid.compute_fix(obs).has_value());
+    std::vector<bool> looked_up(table.bin_count(), false);
+    for (const BeaconObservation& o : obs) {
+        const phy::DistancePdf* pdf = table.lookup(o.rssi_dbm);
+        looked_up[static_cast<std::size_t>(pdf - table.bins().data())] = true;
+    }
+    for (std::size_t b = 0; b < table.bin_count(); ++b) {
+        EXPECT_EQ(bank->is_built(b), looked_up[b]) << "bin " << b;
+    }
+}
+
+TEST(KernelBank, RejectsBadInputs) {
+    EXPECT_THROW(KernelBank(nullptr, 0.01), std::invalid_argument);
+    EXPECT_THROW(KernelBank(calibrated_table(), 1.0), std::invalid_argument);
+    const KernelBank bank(calibrated_table(), 0.01);
+    EXPECT_THROW(bank.kernel(bank.table().bin_count()), std::out_of_range);
+    // A localizer's grid and its bank must agree on the constraint floor.
+    GridConfig other = paper_grid();
+    other.floor_fraction = 0.02;
+    const auto bank01 = std::make_shared<const KernelBank>(calibrated_table(), 0.01);
+    EXPECT_THROW(RfLocalizer(other, bank01), std::invalid_argument);
+}
+
+// Eight threads race the first use of every bin of one cold bank: each bin
+// publishes exactly one kernel, and every thread sees that same pointer.
+// Runs under ThreadSanitizer in CI.
+TEST(KernelBank, ConcurrentFirstUsePublishesOneKernelPerBin) {
+    const KernelBank bank(calibrated_table(), 0.01);
+    const std::vector<std::size_t> bins = usable_bins(bank.table());
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<const RadialKernel*>> seen(
+        kThreads, std::vector<const RadialKernel*>(bins.size(), nullptr));
+    std::atomic<std::size_t> ready{0};
+    {
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads) {
+                }
+                for (std::size_t i = 0; i < bins.size(); ++i) {
+                    seen[t][i] = &bank.kernel(bins[i]);
+                }
+            });
+        }
+        for (std::thread& th : threads) th.join();
+    }
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+        ASSERT_NE(seen[0][i], nullptr);
+        for (std::size_t t = 1; t < kThreads; ++t) {
+            EXPECT_EQ(seen[t][i], seen[0][i]) << "bin " << bins[i] << " thread " << t;
+        }
+        EXPECT_EQ(&bank.kernel(bins[i]), seen[0][i]) << "bin " << bins[i];
+    }
 }
 
 }  // namespace

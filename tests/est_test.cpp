@@ -71,7 +71,10 @@ struct Standalone {
         odometry->reset(config.grid.area.center(), 0.0);
     }
     std::unique_ptr<Estimator> make() {
-        return make_estimator(config, table, odometry.get());
+        return make_estimator(config,
+                              std::make_shared<const core::KernelBank>(
+                                  table, config.grid.floor_fraction),
+                              odometry.get());
     }
 
     Config config;
@@ -134,6 +137,30 @@ TEST(EstGrid, ThreadCountInvariantCountersAndTrace) {
             EXPECT_EQ(trace[i].estimate, trace0[i].estimate)
                 << "grid-threads " << threads << " row " << i;
         }
+    }
+}
+
+/// Pooled window-end fixes race the scenario's cold kernel bank: at fig7
+/// scale (the paper defaults, 25 blind robots) the first round's fixes build
+/// their kernels concurrently on four workers. Counters and position traces
+/// must still match the inline run byte for byte. Runs under TSan in CI.
+TEST(EstGrid, Fig7PooledFixesRaceColdKernelBank) {
+    auto run_at = [](int threads) {
+        core::ScenarioConfig c;
+        c.seed = 7;
+        c.duration = Duration::seconds(300.0);
+        c.grid_update_threads = threads;
+        core::Scenario s(c);
+        s.enable_position_trace(Duration::seconds(10.0));
+        s.run();
+        return std::make_pair(s.result().counters, s.position_trace());
+    };
+    const auto [counters0, trace0] = run_at(0);
+    const auto [counters4, trace4] = run_at(4);
+    EXPECT_EQ(counters4, counters0);
+    ASSERT_EQ(trace4.size(), trace0.size());
+    for (std::size_t i = 0; i < trace4.size(); ++i) {
+        EXPECT_EQ(trace4[i].estimate, trace0[i].estimate) << "row " << i;
     }
 }
 

@@ -294,12 +294,8 @@ TEST(ThreadPool, ConcurrentGridStatReadsAreRaceFree) {
     config.cell_m = 2.0;
     core::BayesGrid grid(config);
 
-    phy::DistancePdf pdf;
-    pdf.mean_m = 40.0;
-    pdf.sigma_m = 4.0;
-    pdf.gaussian_fit_ok = true;
-    pdf.sample_count = 1000;
-    grid.apply_constraint({10.0, 20.0}, pdf);
+    grid.apply_constraint({10.0, 20.0},
+                          core::RadialKernel::for_pdf(40.0, 4.0, config.floor_fraction));
 
     constexpr std::size_t kReaders = 32;
     std::vector<geom::Vec2> means(kReaders);

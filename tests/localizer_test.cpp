@@ -17,10 +17,13 @@ using cocoa::sim::RngManager;
 
 class LocalizerFixture : public ::testing::Test {
   protected:
-    static std::shared_ptr<const phy::PdfTable> table() {
-        static auto t = std::make_shared<const phy::PdfTable>(phy::PdfTable::calibrate(
-            phy::Channel{}, {}, RngManager(7).stream("calibration")));
-        return t;
+    /// One calibrated table and its kernel bank, shared by every test.
+    static std::shared_ptr<const KernelBank> kernels() {
+        static auto bank = std::make_shared<const KernelBank>(
+            std::make_shared<const phy::PdfTable>(phy::PdfTable::calibrate(
+                phy::Channel{}, {}, RngManager(7).stream("calibration"))),
+            GridConfig{}.floor_fraction);
+        return bank;
     }
 
     static GridConfig grid() {
@@ -54,25 +57,25 @@ TEST_F(LocalizerFixture, RequiresTable) {
 TEST_F(LocalizerFixture, RequiresPositiveMinBeacons) {
     RfLocalizer::Options opt;
     opt.min_beacons = 0;
-    EXPECT_THROW(RfLocalizer(grid(), table(), opt), std::invalid_argument);
+    EXPECT_THROW(RfLocalizer(grid(), kernels(), opt), std::invalid_argument);
 }
 
 TEST_F(LocalizerFixture, NoBeaconsNoFix) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     EXPECT_FALSE(loc.compute_fix({}).has_value());
     EXPECT_EQ(loc.stats().rejected_too_few, 1u);
 }
 
 TEST_F(LocalizerFixture, FewerThanMinBeaconsNoFix) {
     // §2.2: "if the robot has received at least three beacon packets".
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     const Vec2 truth{100.0, 100.0};
     auto obs = beacons_around(truth, {{110.0, 100.0}}, 2);  // only two beacons
     EXPECT_FALSE(loc.compute_fix(obs).has_value());
 }
 
 TEST_F(LocalizerFixture, ThreeGoodBeaconsLocalize) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     const Vec2 truth{100.0, 100.0};
     const auto obs =
         beacons_around(truth, {{85.0, 100.0}, {110.0, 115.0}, {100.0, 80.0}}, 1);
@@ -83,7 +86,7 @@ TEST_F(LocalizerFixture, ThreeGoodBeaconsLocalize) {
 }
 
 TEST_F(LocalizerFixture, ManyAnchorsGiveTightFix) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     const Vec2 truth{100.0, 100.0};
     const auto obs = beacons_around(
         truth, {{85.0, 100.0}, {110.0, 115.0}, {100.0, 80.0}, {120.0, 95.0},
@@ -96,7 +99,7 @@ TEST_F(LocalizerFixture, ManyAnchorsGiveTightFix) {
 }
 
 TEST_F(LocalizerFixture, RssiOutsideTableDoesNotCount) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     std::vector<BeaconObservation> obs = {
         {{90.0, 100.0}, -20.0},  // impossibly strong: no bin
         {{110.0, 100.0}, -20.0},
@@ -109,7 +112,7 @@ TEST_F(LocalizerFixture, RssiOutsideTableDoesNotCount) {
 TEST_F(LocalizerFixture, CutoffDropsWeakBeacons) {
     RfLocalizer::Options opt;
     opt.rssi_cutoff_dbm = -70.0;
-    RfLocalizer loc(grid(), table(), opt);
+    RfLocalizer loc(grid(), kernels(), opt);
     std::vector<BeaconObservation> obs = {
         {{90.0, 100.0}, -75.0},
         {{110.0, 100.0}, -75.0},
@@ -122,7 +125,7 @@ TEST_F(LocalizerFixture, CutoffDropsWeakBeacons) {
 TEST_F(LocalizerFixture, GaussianOnlyModeSkipsFarBeacons) {
     RfLocalizer::Options opt;
     opt.use_non_gaussian_bins = false;
-    RfLocalizer loc(grid(), table(), opt);
+    RfLocalizer loc(grid(), kernels(), opt);
     // -88 dBm sits well inside the non-Gaussian regime.
     std::vector<BeaconObservation> obs = {
         {{90.0, 100.0}, -88.0},
@@ -134,7 +137,7 @@ TEST_F(LocalizerFixture, GaussianOnlyModeSkipsFarBeacons) {
 }
 
 TEST_F(LocalizerFixture, DefaultModeUsesFarBeacons) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     std::vector<BeaconObservation> obs = {
         {{30.0, 100.0}, -88.0},
         {{170.0, 100.0}, -88.0},
@@ -156,8 +159,8 @@ TEST_F(LocalizerFixture, FarBeaconsImproveSingleAnchorGeometry) {
 
     RfLocalizer::Options gauss_only;
     gauss_only.use_non_gaussian_bins = false;
-    RfLocalizer ring_loc(grid(), table(), gauss_only);
-    RfLocalizer full_loc(grid(), table());
+    RfLocalizer ring_loc(grid(), kernels(), gauss_only);
+    RfLocalizer full_loc(grid(), kernels());
 
     double ring_err = 0.0;
     double full_err = 0.0;
@@ -177,7 +180,7 @@ TEST_F(LocalizerFixture, FarBeaconsImproveSingleAnchorGeometry) {
 }
 
 TEST_F(LocalizerFixture, StatsCountFixes) {
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     const Vec2 truth{100.0, 100.0};
     const auto obs =
         beacons_around(truth, {{85.0, 100.0}, {110.0, 115.0}, {100.0, 80.0}}, 2);
@@ -190,7 +193,7 @@ TEST_F(LocalizerFixture, StatsCountFixes) {
 
 TEST_F(LocalizerFixture, SpreadReflectsGeometryQuality) {
     const Vec2 truth{100.0, 100.0};
-    RfLocalizer loc(grid(), table());
+    RfLocalizer loc(grid(), kernels());
     // Good geometry: anchors surrounding the truth.
     auto good =
         beacons_around(truth, {{85.0, 100.0}, {110.0, 115.0}, {100.0, 80.0}}, 2);
@@ -206,7 +209,7 @@ TEST_F(LocalizerFixture, SpreadReflectsGeometryQuality) {
 TEST_F(LocalizerFixture, WeightedCentroidLocalizes) {
     RfLocalizer::Options opt;
     opt.technique = RfTechnique::WeightedCentroid;
-    RfLocalizer loc(grid(), table(), opt);
+    RfLocalizer loc(grid(), kernels(), opt);
     const Vec2 truth{100.0, 100.0};
     const auto obs = beacons_around(
         truth, {{90.0, 100.0}, {110.0, 110.0}, {100.0, 85.0}, {115.0, 95.0}}, 3);
@@ -219,7 +222,7 @@ TEST_F(LocalizerFixture, WeightedCentroidLocalizes) {
 TEST_F(LocalizerFixture, LeastSquaresLocalizesAccurately) {
     RfLocalizer::Options opt;
     opt.technique = RfTechnique::LeastSquares;
-    RfLocalizer loc(grid(), table(), opt);
+    RfLocalizer loc(grid(), kernels(), opt);
     const Vec2 truth{100.0, 100.0};
     const auto obs = beacons_around(
         truth, {{85.0, 100.0}, {110.0, 115.0}, {100.0, 80.0}, {120.0, 95.0}}, 3);
@@ -231,10 +234,10 @@ TEST_F(LocalizerFixture, LeastSquaresLocalizesAccurately) {
 TEST_F(LocalizerFixture, LeastSquaresBeatsCentroidOnGoodGeometry) {
     RfLocalizer::Options ls_opt;
     ls_opt.technique = RfTechnique::LeastSquares;
-    RfLocalizer ls(grid(), table(), ls_opt);
+    RfLocalizer ls(grid(), kernels(), ls_opt);
     RfLocalizer::Options wc_opt;
     wc_opt.technique = RfTechnique::WeightedCentroid;
-    RfLocalizer wc(grid(), table(), wc_opt);
+    RfLocalizer wc(grid(), kernels(), wc_opt);
     const Vec2 truth{100.0, 100.0};
     double ls_err = 0.0;
     double wc_err = 0.0;
@@ -253,7 +256,7 @@ TEST_F(LocalizerFixture, TechniquesStayInsideArea) {
           RfTechnique::LeastSquares}) {
         RfLocalizer::Options opt;
         opt.technique = technique;
-        RfLocalizer loc(grid(), table(), opt);
+        RfLocalizer loc(grid(), kernels(), opt);
         // Anchors near a corner, robot outside their hull.
         const Vec2 truth{5.0, 5.0};
         const auto obs =
@@ -275,7 +278,7 @@ TEST_P(LocalizerAccuracySweep, FixWithinMetres) {
     GridConfig g;
     g.area = geom::Rect::square(200.0);
     g.cell_m = 2.0;
-    RfLocalizer loc(g, table);
+    RfLocalizer loc(g, std::make_shared<const KernelBank>(table, g.floor_fraction));
     auto rng = mgr.stream("beacons");
     const phy::Channel ch;
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "phy/channel.hpp"
 #include "phy/pdf_table.hpp"
@@ -295,6 +297,24 @@ TEST(PdfTable, LoadRejectsGarbage) {
     EXPECT_THROW(PdfTable::load(bad3), std::invalid_argument);
     std::stringstream bad4("cocoa-pdf-table 1\n-90 0 50\n");  // zero bins
     EXPECT_THROW(PdfTable::load(bad4), std::invalid_argument);
+}
+
+// A loaded bin must describe a distance distribution the grid localizer can
+// tabulate: sigma = 1e300 used to load fine and then overflow the kernel's
+// squared-distance band into a NaN interval count.
+TEST(PdfTable, LoadRejectsUnbuildableBins) {
+    const auto table_with_bin = [](const std::string& bin) {
+        return "cocoa-pdf-table 1\n-60 2 50\n30.0 4.0 1 80 0.1 0.2\n" + bin + "\n";
+    };
+    std::stringstream good(table_with_bin("25.0 3.0 1 90 0.1 0.2"));
+    EXPECT_EQ(PdfTable::load(good).usable_bin_count(), 2u);
+    std::stringstream unused(table_with_bin("0 0 0 0 0 0"));  // never calibrated
+    EXPECT_EQ(PdfTable::load(unused).usable_bin_count(), 1u);
+    for (const char* bin : {"25.0 1e300 1 90 0.1 0.2", "1e300 3.0 1 90 0.1 0.2",
+                            "25.0 -3.0 1 90 0.1 0.2", "-25.0 3.0 1 90 0.1 0.2"}) {
+        std::stringstream bad(table_with_bin(bin));
+        EXPECT_THROW(PdfTable::load(bad), std::invalid_argument) << bin;
+    }
 }
 
 // Boundary stability across calibration seeds: the Gaussian regime edge must
