@@ -6,6 +6,7 @@
 
 #include "mobility/waypoint.hpp"
 #include "net/packet_io.hpp"
+#include "obs/profile.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_tag.hpp"
 #include "sim/simulator.hpp"
@@ -167,7 +168,10 @@ void Swarm::on_mobility_tick() {
 
 void Swarm::run() { run_until(sim::TimePoint::origin() + config_.duration); }
 
-void Swarm::run_until(sim::TimePoint t) { sim_.run_until(t); }
+void Swarm::run_until(sim::TimePoint t) {
+    obs::ProfileScope scope("swarm.run");
+    sim_.run_until(t);
+}
 
 SwarmResult Swarm::result() const {
     SwarmResult result;

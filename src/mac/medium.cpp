@@ -29,6 +29,14 @@ constexpr std::size_t kSensedReserve = 64;
 /// of candidates outright is cheaper than the mask lookup).
 constexpr std::size_t kRadiusCacheCapacity = 4096;
 constexpr std::uint32_t kRadiusCacheDensePopulation = 16;
+/// Salts of the per-receiver draw keys: RSSI and loss-drop draws of one
+/// (frame, receiver) pair must never correlate.
+constexpr std::uint64_t kRssiKeySalt = 0x51ed2701;
+constexpr std::uint64_t kDropKeySalt = 0x7b2ec997;
+
+std::uint64_t receiver_key(net::NodeId id, std::uint64_t salt) {
+    return sim::splitmix64_mix(static_cast<std::uint64_t>(id) + salt);
+}
 }  // namespace
 
 Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig config)
@@ -77,6 +85,9 @@ std::size_t Medium::attach(Radio& radio) {
     const std::size_t index = radios_.size();
     radios_.push_back(&radio);
     available_.push_back(1);
+    rssi_key_.push_back(receiver_key(radio.id(), kRssiKeySalt));
+    drop_key_.push_back(receiver_key(radio.id(), kDropKeySalt));
+    awake_.push_back(radio.awake() ? 1 : 0);
     note_stamp_.push_back(kNeverNoted);
     if (hierarchical()) {
         tree_.insert(static_cast<std::uint32_t>(index), radio.position());
@@ -182,27 +193,10 @@ void Medium::refresh_tree_if_stale() {
     bulk_stale_ = false;
 }
 
-void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
-                                sim::Duration airtime) {
-    sweep_expired();
-    const sim::TimePoint start = sim_.now();
-    const sim::TimePoint end = start + airtime;
-    const geom::Vec2 tx_pos = sender.position();
-
-    // Per-frame key for the counter-based RSSI draws. frame_seq_ advances
-    // once per transmission whether or not culling is enabled, so a frame's
-    // draws are a pure function of (medium seed, frame number, receiver id).
-    // The launch number doubles as the frame's durable identity
-    // (AirFrame::seq) for checkpoint/restore.
-    const std::uint64_t fseq = frame_seq_++;
-    const std::uint64_t frame_key =
-        sim::splitmix64_mix(rssi_seed_base_ ^ sim::splitmix64_mix(fseq));
-
-    // Fault-injected loss bursts covering this frame's start (none on the
-    // default path: loss_ stays empty unless a FaultInjector armed bursts).
-    phy::LossSchedule::Effect loss_effect;
-    if (!loss_.empty()) loss_effect = loss_.effect_at(start);
-
+void Medium::sample_receivers(const Radio& sender, geom::Vec2 tx_pos,
+                              std::uint64_t frame_key,
+                              const phy::LossSchedule::Effect& loss_effect) {
+    obs::ProfileScope profile("mac.fanout");
     // Sample each visited receiver's RSSI and record the carrier-sense
     // verdicts sparsely, so a radio that wakes mid-flight reads the same
     // answer the live path acted on. Culled (out-of-influence) radios keep
@@ -216,13 +210,21 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     // sensed verdict. Keeping the draws here (scalar, ascending candidate
     // order) is what makes the vectorized fanout bitwise-neutral — the
     // kernels only batch the deterministic prefix.
+    //
+    // The fade draw is skipped when the shadowed power (less any loss
+    // attenuation) already misses carrier sense: fades only attenuate and
+    // IEEE subtraction is monotone, so the faded power would miss too. The
+    // generator is private to this (frame, receiver) pair, so the skip moves
+    // no other draw, and the unsensed RSSI value itself is never used.
     const auto draw = [&](std::size_t i, double mean_dbm, double sigma_db,
                           double fade_db) {
-        Radio* r = radios_[i];
+        assert(rssi_key_[i] == receiver_key(radios_[i]->id(), kRssiKeySalt));
         ++visited;
-        sim::SplitMix64 rng(sim::splitmix64_mix(
-            frame_key ^ sim::splitmix64_mix(static_cast<std::uint64_t>(r->id()) + 0x51ed2701)));
-        double rssi = channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, rng);
+        sim::SplitMix64 rng(sim::splitmix64_mix(frame_key ^ rssi_key_[i]));
+        double rssi = channel_.shadowed_rssi_dbm(mean_dbm, sigma_db, rng);
+        const bool reachable = channel_.sensed(
+            loss_effect.active ? rssi - loss_effect.attenuation_db : rssi);
+        if (reachable) rssi = channel_.faded_rssi_dbm(rssi, fade_db, rng);
         if (loss_effect.active) {
             rssi -= loss_effect.attenuation_db;
             if (loss_effect.drop_prob > 0.0) {
@@ -230,9 +232,9 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 // base seed): dropping receiver i is a pure function of
                 // (medium seed, frame number, receiver id), independent of
                 // culling and of every other receiver's draw.
-                sim::SplitMix64 drop_rng(sim::splitmix64_mix(
-                    loss_seed_base_ ^ frame_key ^
-                    sim::splitmix64_mix(static_cast<std::uint64_t>(r->id()) + 0x7b2ec997)));
+                assert(drop_key_[i] == receiver_key(radios_[i]->id(), kDropKeySalt));
+                sim::SplitMix64 drop_rng(
+                    sim::splitmix64_mix(loss_seed_base_ ^ frame_key ^ drop_key_[i]));
                 const double u = static_cast<double>(drop_rng() >> 11) * 0x1.0p-53;
                 if (u < loss_effect.drop_prob) {
                     // The frame never exists for this receiver: not sensed,
@@ -242,7 +244,7 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 }
             }
         }
-        if (channel_.sensed(rssi)) {
+        if (reachable && channel_.sensed(rssi)) {
             sensed_scratch_.push_back(
                 SensedCandidate{static_cast<std::uint32_t>(i), rssi});
         }
@@ -336,8 +338,9 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 }
             }
         }
-        // The CCA callbacks below must fire in attach order — same-timestamp
-        // events are FIFO, and the unculled sweep schedules them ascending.
+        // The CCA callbacks begin_transmission schedules must fire in attach
+        // order — same-timestamp events are FIFO, and the unculled sweep
+        // schedules them ascending.
         std::sort(sensed_scratch_.begin(), sensed_scratch_.end(),
                   [](const SensedCandidate& a, const SensedCandidate& b) {
                       return a.idx < b.idx;
@@ -347,6 +350,30 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     }
     stats_.radios_visited += visited;
     stats_.radios_culled += static_cast<std::uint64_t>(radios_.size()) - 1 - visited;
+}
+
+void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
+                                sim::Duration airtime) {
+    sweep_expired();
+    const sim::TimePoint start = sim_.now();
+    const sim::TimePoint end = start + airtime;
+    const geom::Vec2 tx_pos = sender.position();
+
+    // Per-frame key for the counter-based RSSI draws. frame_seq_ advances
+    // once per transmission whether or not culling is enabled, so a frame's
+    // draws are a pure function of (medium seed, frame number, receiver id).
+    // The launch number doubles as the frame's durable identity
+    // (AirFrame::seq) for checkpoint/restore.
+    const std::uint64_t fseq = frame_seq_++;
+    const std::uint64_t frame_key =
+        sim::splitmix64_mix(rssi_seed_base_ ^ sim::splitmix64_mix(fseq));
+
+    // Fault-injected loss bursts covering this frame's start (none on the
+    // default path: loss_ stays empty unless a FaultInjector armed bursts).
+    phy::LossSchedule::Effect loss_effect;
+    if (!loss_.empty()) loss_effect = loss_.effect_at(start);
+
+    sample_receivers(sender, tx_pos, frame_key, loss_effect);
 
     AirFrame::SensedBy sensed{sim::PoolAllocator<std::uint32_t>(sensed_core_)};
     sensed.reserve(std::max(kSensedReserve, sensed_scratch_.size()));
@@ -365,31 +392,32 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                         {{"bytes", static_cast<double>(packet.wire_bytes())}});
 
     for (const SensedCandidate& c : sensed_scratch_) {
-        Radio* r = radios_[c.idx];
+        const std::uint32_t idx = c.idx;
         const double rssi_i = c.rssi_dbm;
         const bool decodable = channel_.decodable(rssi_i);
         // Carrier sensing and receiver lock-on take a CCA delay; radio state
         // is re-checked at that point (the radio may have slept meanwhile).
         sim_.schedule_in(
             config_.cca_delay,
-            [this, r, frame, rssi_i, decodable] {
-                cca_fire(r, frame, rssi_i, decodable);
+            [this, idx, frame, rssi_i, decodable] {
+                cca_fire(idx, frame, rssi_i, decodable);
             },
             sim::make_tag(sim::EventKind::kMediumCca, c.idx, decodable ? 1u : 0u, 0,
                           fseq, std::bit_cast<std::uint64_t>(rssi_i)));
     }
 }
 
-void Medium::cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
+void Medium::cca_fire(std::uint32_t idx, const std::shared_ptr<const AirFrame>& frame,
                       double rssi_dbm, bool decodable) {
     // A frame whose transmitter died within the CCA window never registers
     // at the receiver (its end may already be in the past).
     if (frame->truncated) return;
-    if (!r->awake()) {
+    assert((awake_[idx] != 0) == radios_[idx]->awake());
+    if (awake_[idx] == 0) {
         if (decodable) ++stats_.missed_asleep;
         return;
     }
-    r->on_frame_start(frame, rssi_dbm, decodable);
+    radios_[idx]->on_frame_start(frame, rssi_dbm, decodable);
 }
 
 void Medium::truncate_transmission(Radio& sender) {
@@ -681,12 +709,13 @@ void Medium::load_pool_warmth(sim::ckpt::Reader& r) {
 
 void Medium::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
     reg.add(sim::EventKind::kMediumCca, [this](const sim::EventTag& tag) {
-        Radio* r = radios_.at(tag.node);
+        const std::uint32_t idx = tag.node;
+        (void)radios_.at(idx);  // a blob's out-of-range index throws here
         std::shared_ptr<const AirFrame> frame = restored_frame(tag.a);
         const double rssi = std::bit_cast<double>(tag.b);
         const bool decodable = tag.x != 0;
-        return sim::InplaceCallback([this, r, frame, rssi, decodable] {
-            cca_fire(r, frame, rssi, decodable);
+        return sim::InplaceCallback([this, idx, frame, rssi, decodable] {
+            cca_fire(idx, frame, rssi, decodable);
         });
     });
     reg.add(

@@ -169,6 +169,13 @@ class Medium {
         return available_[attach_index] != 0;
     }
 
+    /// Awake-bit mirror of Radio::awake(), kept current by the radio's
+    /// power state machine (Radio::set_state, and Radio::load_state on
+    /// restore) so the CCA tail reads one byte instead of the radio.
+    void set_radio_awake(std::size_t attach_index, bool awake) {
+        awake_[attach_index] = awake ? 1 : 0;
+    }
+
     /// The culling radius actually in use (slightly inflated over the
     /// channel's max-influence range to absorb its bisection rounding).
     double cull_radius_m() const { return cull_radius_m_; }
@@ -246,10 +253,15 @@ class Medium {
 
   private:
     void sweep_expired();
+    /// The fanout of one transmission (profiled as "mac.fanout"): gathers
+    /// the candidates, culls them, draws each one's RSSI and leaves the
+    /// sensed receivers in sensed_scratch_, ascending by attach index.
+    void sample_receivers(const Radio& sender, geom::Vec2 tx_pos, std::uint64_t frame_key,
+                          const phy::LossSchedule::Effect& loss_effect);
     /// CCA-delay delivery tail, shared by the live schedule in
     /// begin_transmission and the kMediumCca checkpoint rebuilder so a
     /// restored callback behaves identically to the one it replaces.
-    void cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
+    void cca_fire(std::uint32_t idx, const std::shared_ptr<const AirFrame>& frame,
                   double rssi_dbm, bool decodable);
     void rebuild_hash_if_stale();
     void refresh_tree_if_stale();
@@ -264,6 +276,17 @@ class Medium {
     /// in outage); kept here so the medium can gate propagation and index
     /// membership without poking radio internals per receiver.
     std::vector<std::uint8_t> available_;
+    // Per-candidate reads of the fanout and CCA hot path, attach-indexed so
+    // the loop never dereferences a Radio it does not deliver to (a Radio
+    // and its node span kilobytes; at swarm scale each dereference is a
+    // cache and TLB miss). Debug builds assert every read against the radio.
+    /// rssi_key_[i]: radio i's receiver key for the counter-based RSSI draw,
+    /// splitmix64_mix(id + kRssiKeySalt).
+    std::vector<std::uint64_t> rssi_key_;
+    /// drop_key_[i]: the same for the loss-burst drop draw (kDropKeySalt).
+    std::vector<std::uint64_t> drop_key_;
+    /// awake_[i] mirrors radios_[i]->awake() (see set_radio_awake).
+    std::vector<std::uint8_t> awake_;
     /// note_stamp_[i]: sim time (ns) of radio i's last note_position_moved,
     /// for coalescing duplicate same-timestamp notes (a position changes at
     /// most once per instant). kNeverNoted never collides with a real time.

@@ -53,6 +53,7 @@ void Radio::publish_availability() {
 void Radio::set_state(energy::RadioState next) {
     meter_.change_state(sim_.now(), next);
     state_ = next;
+    medium_.set_radio_awake(attach_index_, awake());
 }
 
 sim::Duration Radio::airtime(const net::Packet& packet) const {
@@ -239,8 +240,10 @@ void Radio::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
     backoff_rng_.load(r);
     meter_.load(r);
     // Sync the medium's availability table (and spatial-index membership)
-    // with the restored power state — off / in-outage radios leave the tree.
+    // and its awake bit with the restored power state — off / in-outage
+    // radios leave the tree.
     publish_availability();
+    medium_.set_radio_awake(attach_index_, awake());
 }
 
 void Radio::sleep() {

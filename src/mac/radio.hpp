@@ -100,6 +100,8 @@ class Radio {
     /// resumes CSMA. No-op when no outage is in progress.
     void end_outage();
     bool in_outage() const { return outage_; }
+    /// Carrier-sense horizon: the channel reads busy until this time.
+    sim::TimePoint sensed_until() const { return sensed_until_; }
 
     const energy::EnergyMeter& meter() const { return meter_; }
     /// Closes energy accounting through the current simulation time.
@@ -135,6 +137,8 @@ class Radio {
     /// Rebuilders re-enter the private CSMA/receive machinery and re-learn
     /// attempt_event_ on behalf of each radio.
     friend class Medium;
+    /// The one writer of state_ besides load_state: both keep the medium's
+    /// awake mirror (Medium::set_radio_awake) current.
     void set_state(energy::RadioState next);
     bool channel_busy() const { return sim_.now() < sensed_until_; }
     void try_start_csma();

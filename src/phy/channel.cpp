@@ -7,6 +7,25 @@
 namespace cocoa::phy {
 
 Channel::Channel(const ChannelConfig& config) : config_(config) {
+    const double fields[] = {
+        config_.tx_power_dbm,       config_.ref_distance_m,
+        config_.ref_loss_db,        config_.exponent_near,
+        config_.exponent_far,       config_.breakpoint_m,
+        config_.sigma_ramp_end_m,   config_.shadowing_sigma_near_db,
+        config_.fade_mean_far_db,   config_.shadowing_sigma_far_db,
+        config_.rx_sensitivity_dbm, config_.carrier_sense_dbm,
+        config_.shadowing_clamp_sigmas};
+    for (const double v : fields) {
+        if (!std::isfinite(v)) {
+            throw std::invalid_argument("Channel: every config field must be finite");
+        }
+    }
+    if (config_.shadowing_sigma_near_db < 0.0 || config_.shadowing_sigma_far_db < 0.0) {
+        throw std::invalid_argument("Channel: shadowing sigmas must be >= 0");
+    }
+    if (config_.fade_mean_far_db < 0.0) {
+        throw std::invalid_argument("Channel: fade_mean_far_db must be >= 0");
+    }
     if (config_.ref_distance_m <= 0.0 || config_.breakpoint_m <= config_.ref_distance_m) {
         throw std::invalid_argument("Channel: need 0 < ref_distance < breakpoint");
     }

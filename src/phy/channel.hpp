@@ -44,6 +44,10 @@ struct ChannelConfig {
 
 class Channel {
   public:
+    /// Throws std::invalid_argument for configurations no radio can have:
+    /// any non-finite field, a negative shadowing sigma or fade mean, a
+    /// non-positive clamp, or an inverted distance geometry. Configs also
+    /// arrive from checkpoint blobs, so this is the gate for those too.
     explicit Channel(const ChannelConfig& config = {});
 
     const ChannelConfig& config() const { return config_; }
@@ -64,13 +68,28 @@ class Channel {
     template <typename Rng>
     double sample_rssi_from(double mean_dbm, double sigma_db, double fade_db,
                             Rng& rng) const {
+        return faded_rssi_dbm(shadowed_rssi_dbm(mean_dbm, sigma_db, rng), fade_db, rng);
+    }
+
+    /// First half of sample_rssi_from: the mean plus one clamped shadowing
+    /// draw. Because fades only attenuate, a caller whose verdict is already
+    /// "not sensed" at this power may skip faded_rssi_dbm (and its draw)
+    /// without changing any verdict.
+    template <typename Rng>
+    double shadowed_rssi_dbm(double mean_dbm, double sigma_db, Rng& rng) const {
         const double cap = config_.shadowing_clamp_sigmas * sigma_db;
         const double shadow = std::clamp(rng.gaussian(0.0, sigma_db), -cap, cap);
-        double rssi = mean_dbm + shadow;
+        return mean_dbm + shadow;
+    }
+
+    /// Second half of sample_rssi_from: one deep-fade draw (none when
+    /// `fade_db` is zero), subtracted from the shadowed power.
+    template <typename Rng>
+    double faded_rssi_dbm(double shadowed_dbm, double fade_db, Rng& rng) const {
         if (fade_db > 0.0) {
-            rssi -= rng.exponential(fade_db);  // deep fades only ever attenuate
+            shadowed_dbm -= rng.exponential(fade_db);  // deep fades only ever attenuate
         }
-        return rssi;
+        return shadowed_dbm;
     }
 
     /// One stochastic RSSI observation. Templated over the generator so the

@@ -5,9 +5,11 @@
 // (forked and unforked sweeps produce byte-identical records).
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,6 +261,49 @@ TEST(CheckpointFuzz, SwarmRestoreMatchesStraightRun) {
         restored->run();
         EXPECT_EQ(swarm_digest(restored->result()), want);
     }
+}
+
+TEST(CheckpointFuzz, SwarmRestoreWithPendingCcaMatchesStraightRun) {
+    // A snapshot taken inside some frame's CCA window: the kMediumCca events
+    // travel through the kernel section and, once restored, read the
+    // receivers' awake bits, which only Radio::load_state re-syncs on the
+    // fresh world. A missed re-sync shows up as a diverging digest.
+    core::SwarmConfig config;
+    config.nodes = 500;
+    config.seed = 31;
+    config.duration = sim::Duration::seconds(6.0);
+    config.collect_final_positions = true;
+
+    core::Swarm straight(config);
+    straight.run();
+    const std::string want = swarm_digest(straight.result());
+
+    core::Swarm prefix(config);
+    prefix.run_until(sim::TimePoint::origin() + sim::Duration::seconds(3.0));
+    const mac::Medium& medium = prefix.world().medium();
+    const sim::Duration step = sim::Duration::micros(1);
+    std::string blob;
+    for (int tries = 0; tries < 100 && blob.empty(); ++tries) {
+        // Step to just past the next launch: its CCA events are pending.
+        const std::uint64_t sent = medium.stats().frames_sent;
+        while (medium.stats().frames_sent == sent) {
+            prefix.run_until(prefix.simulator().now() + step);
+        }
+        std::string candidate = exp::save_swarm_checkpoint(prefix);
+        // Keep the snapshot only if a pending CCA event then found its
+        // receiver asleep: the restored run must read that bit right.
+        const std::uint64_t missed = medium.stats().missed_asleep;
+        prefix.run_until(prefix.simulator().now() + medium.config().cca_delay);
+        if (medium.stats().missed_asleep > missed) blob = std::move(candidate);
+    }
+    ASSERT_FALSE(blob.empty()) << "no snapshot caught a pending CCA event";
+
+    prefix.run();
+    EXPECT_EQ(swarm_digest(prefix.result()), want);
+    std::unique_ptr<core::Swarm> restored = exp::restore_swarm_checkpoint(blob);
+    ASSERT_NE(restored, nullptr);
+    restored->run();
+    EXPECT_EQ(swarm_digest(restored->result()), want);
 }
 
 // ------------------------------------------------------ forked sweep runs

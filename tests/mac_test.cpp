@@ -416,6 +416,92 @@ TEST_F(MacFixture, WakeMidFrameDoesNotReceiveIt) {
     EXPECT_EQ(got, 0);
 }
 
+// --- radio state flips between launch and the CCA instant ------------------
+//
+// Zero backoff: the frame launches at 1.000050 s, its CCA event fires at
+// 1.000065 s and it ends at 1.000610 s. Each case flips the receiver's power
+// state at 1.000055 s, inside that window, and pins what the CCA tail does.
+
+class CcaWindowFixture : public MacFixture {
+  protected:
+    static TimePoint at_us(int us) { return TimePoint::from_seconds(1.0) + Duration::micros(us); }
+    static constexpr int kFlipUs = 55;  // launch at +50, CCA at +65
+
+    CcaWindowFixture()
+        : tx_(add_radio({0.0, 0.0}, zero_backoff())), rx_(add_radio({20.0, 0.0})) {
+        sim_.schedule_at(TimePoint::from_seconds(1.0), [this] { tx_.send(test_packet()); });
+        // Mid-frame probe, after the CCA instant and before any late wake.
+        sim_.schedule_at(at_us(200), [this] { sensed_mid_ = rx_.sensed_until(); });
+    }
+
+    TimePoint frame_end() const { return at_us(50) + tx_.airtime(test_packet()); }
+
+    Radio& tx_;
+    Radio& rx_;
+    TimePoint sensed_mid_ = TimePoint::max();
+};
+
+TEST_F(CcaWindowFixture, SleepInWindowMissesFrameAndNeverSensesIt) {
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.sleep(); });
+    sim_.run();
+    EXPECT_EQ(medium_.stats().missed_asleep, 1u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 0u);
+    EXPECT_EQ(sensed_mid_, TimePoint::origin());
+}
+
+TEST_F(CcaWindowFixture, WakeInWindowLocksAndDelivers) {
+    sim_.schedule_at(TimePoint::from_seconds(0.5), [this] { rx_.sleep(); });
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.wake(); });
+    sim_.run();
+    // Asleep radios are still sampled at launch, so the wake-time rebuild
+    // and the CCA tail both see the frame.
+    EXPECT_EQ(medium_.stats().missed_asleep, 0u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 1u);
+    EXPECT_EQ(sensed_mid_, frame_end());
+}
+
+TEST_F(CcaWindowFixture, PowerOffInWindowCountsAsMissed) {
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.power_off(); });
+    sim_.run();
+    EXPECT_EQ(medium_.stats().missed_asleep, 1u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 0u);
+    EXPECT_EQ(sensed_mid_, TimePoint::origin());
+}
+
+TEST_F(CcaWindowFixture, OutageInWindowMissesFrameAndEndRebuildsSense) {
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.begin_outage(); });
+    TimePoint sensed_after_end = TimePoint::max();
+    sim_.schedule_at(at_us(300), [this] { rx_.end_outage(); });
+    sim_.schedule_at(at_us(400), [&] { sensed_after_end = rx_.sensed_until(); });
+    sim_.run();
+    EXPECT_EQ(medium_.stats().missed_asleep, 1u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 0u);
+    EXPECT_EQ(sensed_mid_, TimePoint::origin());
+    // The outage ended mid-frame: carrier sense comes back from the verdict
+    // recorded at launch, but the frame itself is lost.
+    EXPECT_EQ(sensed_after_end, frame_end());
+}
+
+TEST_F(CcaWindowFixture, PowerOnInWindowNeverSeesAFrameLaunchedWhileOff) {
+    sim_.schedule_at(TimePoint::from_seconds(0.5), [this] { rx_.power_off(); });
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.power_on(); });
+    sim_.run();
+    // Off at launch: never sampled, so no CCA event, no missed count, and
+    // the power-on rebuild finds the air idle.
+    EXPECT_EQ(medium_.stats().missed_asleep, 0u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 0u);
+    EXPECT_EQ(sensed_mid_, at_us(kFlipUs));
+}
+
+TEST_F(CcaWindowFixture, SleepAndWakeInWindowStillDelivers) {
+    sim_.schedule_at(at_us(kFlipUs), [this] { rx_.sleep(); });
+    sim_.schedule_at(at_us(kFlipUs + 5), [this] { rx_.wake(); });
+    sim_.run();
+    EXPECT_EQ(medium_.stats().missed_asleep, 0u);
+    EXPECT_EQ(rx_.stats().rx_delivered, 1u);
+    EXPECT_EQ(sensed_mid_, frame_end());
+}
+
 TEST_F(MacFixture, MediumCountsFrames) {
     Radio& a = add_radio({0.0, 0.0});
     Radio& b = add_radio({10.0, 0.0});

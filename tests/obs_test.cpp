@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario.hpp"
+#include "core/swarm.hpp"
 #include "mac/medium.hpp"
 #include "mac/radio.hpp"
 #include "net/packet.hpp"
@@ -207,6 +208,29 @@ TEST(Profiler, RecordsOnlyWhenEnabled) {
     EXPECT_NE(os.str().find("obs_test.enabled"), std::string::npos);
     Profiler::instance().reset();
     EXPECT_TRUE(Profiler::instance().entries().empty());
+}
+
+TEST(Profiler, SwarmRecordsRunAndFanoutScopes) {
+    Profiler::instance().reset();
+    Profiler::set_enabled(true);
+    core::SwarmConfig cfg;
+    cfg.nodes = 200;
+    cfg.duration = Duration::seconds(2.0);
+    core::Swarm swarm(cfg);
+    swarm.run();
+    Profiler::set_enabled(false);
+
+    std::uint64_t run_calls = 0;
+    std::uint64_t fanout_calls = 0;
+    for (const Profiler::Entry& e : Profiler::instance().entries()) {
+        if (e.name == "swarm.run") run_calls = e.calls;
+        if (e.name == "mac.fanout") fanout_calls = e.calls;
+    }
+    EXPECT_EQ(run_calls, 1u);
+    // One fanout per transmission.
+    EXPECT_GT(fanout_calls, 0u);
+    EXPECT_EQ(fanout_calls, swarm.result().medium_stats.frames_sent);
+    Profiler::instance().reset();
 }
 
 // ------------------------------------------- trace-golden two-node exchange

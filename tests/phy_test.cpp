@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -100,6 +102,75 @@ TEST(Channel, InvalidConfigThrows) {
     c = ChannelConfig{};
     c.exponent_near = -1.0;
     EXPECT_THROW(Channel{c}, std::invalid_argument);
+}
+
+TEST(Channel, RejectsNonFiniteFields) {
+    // Configs also arrive from checkpoint blobs. Before this gate a NaN
+    // clamp or tx power, or carrier_sense_dbm = +inf, was accepted and
+    // silently produced a 1 m influence radius that culled every receiver.
+    using C = ChannelConfig;
+    double C::*const fields[] = {
+        &C::tx_power_dbm,       &C::ref_distance_m,
+        &C::ref_loss_db,        &C::exponent_near,
+        &C::exponent_far,       &C::breakpoint_m,
+        &C::sigma_ramp_end_m,   &C::shadowing_sigma_near_db,
+        &C::fade_mean_far_db,   &C::shadowing_sigma_far_db,
+        &C::rx_sensitivity_dbm, &C::carrier_sense_dbm,
+        &C::shadowing_clamp_sigmas};
+    const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+        for (const double v : bad) {
+            ChannelConfig c;
+            c.*fields[f] = v;
+            EXPECT_THROW(Channel{c}, std::invalid_argument) << "field " << f << " = " << v;
+        }
+    }
+}
+
+TEST(Channel, RejectsNegativeShadowingSigmasAndFadeMean) {
+    // A negative sigma makes the clamp's lo exceed its hi (undefined
+    // behaviour in std::clamp); a negative fade mean is no distribution.
+    ChannelConfig c;
+    c.shadowing_sigma_near_db = -0.5;
+    EXPECT_THROW(Channel{c}, std::invalid_argument);
+    c = ChannelConfig{};
+    c.shadowing_sigma_far_db = -1.0;
+    EXPECT_THROW(Channel{c}, std::invalid_argument);
+    c = ChannelConfig{};
+    c.fade_mean_far_db = -7.0;
+    EXPECT_THROW(Channel{c}, std::invalid_argument);
+    // Zero is a legitimate deterministic channel (the MAC tests use it).
+    c = ChannelConfig{};
+    c.shadowing_sigma_near_db = 0.0;
+    c.shadowing_sigma_far_db = 0.0;
+    c.fade_mean_far_db = 0.0;
+    EXPECT_NO_THROW(Channel{c});
+}
+
+TEST(Channel, SplitSampleIsBitwiseAndFadeSkipNeverFlipsSensing) {
+    // sample_rssi_from is faded(shadowed(...)) on one generator, and a
+    // shadowed power that misses carrier sense (even before any loss
+    // attenuation is subtracted) stays below it once faded: the medium's
+    // fade skip cannot change a verdict.
+    const Channel ch;
+    sim::SplitMix64 pick(77);
+    int skipped = 0;
+    for (std::uint64_t key = 0; key < 20000; ++key) {
+        const double d = 30.0 + static_cast<double>(pick() % 200);
+        const double atten = static_cast<double>(pick() % 4);
+        sim::SplitMix64 a(key);
+        sim::SplitMix64 b(key);
+        const double full = ch.sample_rssi_dbm(d, a);
+        const double shadowed =
+            ch.shadowed_rssi_dbm(ch.mean_rssi_dbm(d), ch.shadowing_sigma_db(d), b);
+        EXPECT_EQ(ch.faded_rssi_dbm(shadowed, ch.fade_mean_db(d), b), full);
+        if (!ch.sensed(shadowed - atten)) {
+            ++skipped;
+            EXPECT_FALSE(ch.sensed(full - atten)) << "d=" << d << " key=" << key;
+        }
+    }
+    EXPECT_GT(skipped, 0);
 }
 
 // --- PDF table / calibration ------------------------------------------------

@@ -35,6 +35,12 @@ using namespace cocoa;
 
 namespace {
 
+/// Swarm runs (--nodes, restored swarm blobs) have no scenario counter
+/// registry to print; they reject these flags rather than ignore them.
+constexpr const char* kSwarmTableFlags =
+    "--counters and --kernel-stats report scenario runs; a swarm run prints "
+    "its own swarm table instead";
+
 int fail(const std::string& message) {
     std::cerr << "cocoa_sim: " << message << "\n";
     return 2;
@@ -336,11 +342,12 @@ int main(int argc, char** argv) {
                     &trace_format, {"chrome", "jsonl"})
         .add_flag("counters",
                   "print the counter registry summed over nodes (and over "
-                  "replications with --reps)",
+                  "replications with --reps); not for --nodes runs",
                   &show_counters)
         .add_flag("kernel-stats",
                   "print event-kernel throughput and allocation stats "
-                  "(executed events, events/sec, SBO misses, pool hit rates)",
+                  "(executed events, events/sec, SBO misses, pool hit "
+                  "rates); not for --nodes runs",
                   &show_kernel_stats)
         .add_flag("profile", "print wall-clock profiling scopes to stderr", &profile)
         .add_option("reps",
@@ -455,6 +462,7 @@ int main(int argc, char** argv) {
             const std::string blob = sim::ckpt::read_blob_file(restore_file);
             sim::ckpt::Reader probe(blob);
             if (sim::ckpt::read_header(probe) == sim::ckpt::Flavor::kSwarm) {
+                if (show_counters || show_kernel_stats) return fail(kSwarmTableFlags);
                 const std::unique_ptr<core::Swarm> swarm =
                     exp::restore_swarm_checkpoint(blob);
                 const auto t0 = std::chrono::steady_clock::now();
@@ -512,6 +520,10 @@ int main(int argc, char** argv) {
     }
 
     if (swarm_nodes > 0) {
+        if (show_counters || show_kernel_stats) return fail(kSwarmTableFlags);
+        if (profile) {
+            obs::Profiler::set_enabled(true);
+        }
         core::SwarmConfig sc;
         sc.nodes = swarm_nodes;
         sc.seed = seed;
@@ -539,6 +551,9 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
         print_swarm(r, wall_s, quiet);
+        if (profile) {
+            obs::Profiler::instance().report(std::cerr);
+        }
         return 0;
     }
 
